@@ -223,22 +223,25 @@ def _churn_inputs(churn, cfg: PathConfig, duration: float, seed: int,
 
     Stateless growth rules (Reno, limited slow-start) are shared across the
     whole population; stateful controllers (restricted) get one instance per
-    flow.  Arrivals carry ``quantize_start=True`` so the vector engine
+    flow, all built from one frozen controller configuration resolved here
+    once.  Arrivals carry ``quantize_start=True`` so the vector engine
     activates them at round boundaries instead of cutting per-arrival
     rounds (see :class:`~repro.fluid.model.FluidFlowInput`).
     """
     from ..sim.randomness import RandomStreams
 
     arrivals = churn.sample(duration, RandomStreams(seed), n_pairs=n_pairs)
-    shared_rule = None
-    if churn.cc != "restricted":
+    shared_rule = rss = None
+    if churn.cc == "restricted":
+        rss = RestrictedSlowStartConfig.for_path(cfg.rtt)
+    else:
         shared_rule = fluid_growth_rule(churn.cc, cfg)
     return [
         FluidFlowInput(
             name=f"churn{i}:{churn.cc}",
             cc=churn.cc,
             rule=(shared_rule if shared_rule is not None
-                  else fluid_growth_rule(churn.cc, cfg)),
+                  else fluid_growth_rule(churn.cc, cfg, rss_config=rss)),
             ifq=arrival.pair,
             start_time=arrival.start_time,
             total_bytes=arrival.total_bytes,

@@ -118,6 +118,10 @@ class FluidGrowthRule:
         Rules that do not sense the queue can integrate a whole round in a
         few coarse chunks (stall crossings are resolved exactly either way);
         queue-sensing rules override this to sample finely.
+
+        The grain is a property of the rule's *configuration*, not of its
+        running state: :class:`~repro.fluid.vector.FluidPopulationModel`
+        reads it once per flow when the model is built and never again.
         """
         return math.inf
 

@@ -19,14 +19,16 @@ array-wide passes:
 
 Flows whose growth rule is *stateful* (the restricted controller's real
 :class:`~repro.control.pid.PIDController`, or any third-party rule) stay on
-a small Python side-channel, batched once per sub-round chunk — they read
-and update the same occupancy arrays, so a handful of regulated flows can
-ride inside a vectorized population.
-
-The same move — replacing a per-element Python scan with one array-wide
-pass over all state — is what makes cluster counting tractable in the
-Hoshen–Kopelman comparison the repo reproduces; here it takes the coupled
-model from tens of flows to thousands at interactive speed.
+a Python side-channel, batched once per sub-round chunk — they read and
+update the same occupancy arrays, so regulated flows can ride inside a
+vectorized population.  The side-channel's cost scales with the side flows
+that are *active* in a round (and, within a chunk, with the *eligible*
+ones: started, unfrozen, not yet finished or stopped), never with the
+whole population: each pass selects its flows by array masks over the
+round's active set, and each rule's
+:meth:`~repro.fluid.model.FluidGrowthRule.grain` is read once per flow at
+construction.  A 20,000-arrival restricted churn runs in
+seconds (``benchmarks/bench_fluid_scale.py``).
 
 Open-loop churn
 ---------------
@@ -311,16 +313,19 @@ class FluidPopulationModel:
         # side-channel, which calls the rule object faithfully.
         self.kind = np.full(n, _KIND_SIDE, dtype=np.int8)
         self.limited_max_ss = np.full(n, np.inf)
-        self.side_flows: list[tuple[int, object]] = []
-        for i, s in enumerate(self.specs):
-            rule = s.rule
+        #: flow → growth rule (only side-channel flows ever consult it)
+        self.rules = [s.rule for s in self.specs]
+        #: side-channel chunk grain per flow, read once (``inf`` on the
+        #: vector path, whose rules do not sense the queue)
+        self.grain = np.full(n, np.inf)
+        for i, rule in enumerate(self.rules):
             if type(rule) is RenoFluid:
                 self.kind[i] = _KIND_RENO
             elif type(rule) is LimitedSlowStartFluid:
                 self.kind[i] = _KIND_LIMITED
                 self.limited_max_ss[i] = rule.max_ssthresh
             else:
-                self.side_flows.append((i, rule))
+                self.grain[i] = rule.grain(self.capacity)
         self.vector_kind = self.kind != _KIND_SIDE
 
         # --- dynamic state ------------------------------------------------
@@ -458,12 +463,9 @@ class FluidPopulationModel:
         return np.minimum(window, self.pipe + q)
 
     def _side_on_reduction(self, gidx: np.ndarray) -> None:
-        if not self.side_flows:
-            return
-        hit = set(gidx.tolist())
-        for i, rule in self.side_flows:
-            if i in hit:
-                rule.on_reduction()
+        rules = self.rules
+        for i in gidx[~self.vector_kind[gidx]].tolist():
+            rules[i].on_reduction()
 
     def _reduce_on_stall_many(self, gidx: np.ndarray, t: float, rtt: float) -> None:
         if gidx.size == 0:
@@ -537,23 +539,25 @@ class FluidPopulationModel:
             slack = np.zeros(nq)
 
         # --- growth, chunked so queue-sensing rules sample the ramp ------
+        vec = self.vector_kind[idx]
+        # positions (into idx, ascending = flow order) of the active
+        # side-channel flows: every side pass below visits only these
+        side_pos = np.nonzero(~vec)[0]
         substeps = _MIN_CHUNKS
-        if self.side_flows:
-            pos_of = {int(gi): p for p, gi in enumerate(idx)}
-            for i, rule in self.side_flows:
-                p = pos_of.get(i)
-                if p is None:
-                    continue
-                grain = rule.grain(self.capacity)
-                if math.isfinite(grain) and grain > 0 and acked[p] > 0:
-                    substeps = max(substeps, int(math.ceil(acked[p] / grain)))
+        side_acked = acked[side_pos]
+        grain = self.grain[idx[side_pos]]
+        sampled = np.isfinite(grain) & (grain > 0) & (side_acked > 0)
+        if sampled.any():
+            substeps = max(substeps, int(np.ceil(
+                side_acked[sampled] / grain[sampled]).max()))
         substeps = min(substeps, _MAX_CHUNKS)
         dt = span / substeps
         chunk = acked / substeps
+        floor = max(1.0, float(self.options.initial_cwnd_segments))
+        rules = self.rules
 
         round_frozen = now < self.freeze_until[idx] - 1e-12
         stalled_q = np.zeros(nq, dtype=bool)
-        vec = self.vector_kind[idx]
         limited = self.kind[idx] == _KIND_LIMITED
         max_ss = self.limited_max_ss[idx]
         for s in range(substeps):
@@ -596,38 +600,38 @@ class FluidPopulationModel:
             # side-channel rules (stateful controllers), in flow order so a
             # regulated flow sees this chunk's earlier injections — exactly
             # like the scalar model's per-flow scan
-            if self.side_flows:
-                floor = max(1.0, float(self.options.initial_cwnd_segments))
-                for i, rule in self.side_flows:
-                    p = pos_of.get(i)
-                    if p is None or not elig[p]:
-                        continue
-                    qi = self.flow_ifq[i]
-                    before = self.cwnd[i]
-                    occ = (self.queue[qi] / self.capacity
-                           if self.capacity else 0.0)
-                    if before < self.ssthresh[i]:
-                        delta = rule.increment(chunk[p], before, occ,
-                                               self.capacity, dt)
+            sel = side_pos[elig[side_pos]]
+            if sel.size:
+                cwnd, ssthresh = self.cwnd, self.ssthresh
+                queue, max_cwnd = self.queue, self.max_cwnd
+                capacity = self.capacity
+                for p, i, qi, ch in zip(sel.tolist(), idx[sel].tolist(),
+                                        g[sel].tolist(), chunk[sel].tolist()):
+                    before = float(cwnd[i])
+                    ss = float(ssthresh[i])
+                    q = float(queue[qi])
+                    occ = q / capacity if capacity else 0.0
+                    if before < ss:
+                        delta = rules[i].increment(ch, before, occ,
+                                                   capacity, dt)
                         if delta < 0.0:
-                            self.cwnd[i] = max(before + delta, floor)
-                            inj = self.cwnd[i] - before
+                            new = max(before + delta, floor)
+                            inj = new - before
                         else:
                             grown = before + delta
-                            if grown > self.ssthresh[i]:
-                                overshoot = grown - self.ssthresh[i]
-                                self.cwnd[i] = (self.ssthresh[i]
-                                                + overshoot
-                                                / max(self.ssthresh[i], 1.0))
+                            if grown > ss:
+                                new = ss + (grown - ss) / max(ss, 1.0)
                             else:
-                                self.cwnd[i] = grown
-                            inj = max(self.cwnd[i] - before, 0.0)
+                                new = grown
+                            inj = max(new - before, 0.0)
                     else:
-                        self.cwnd[i] = before + chunk[p] / max(before, 1.0)
-                        inj = max(self.cwnd[i] - before, 0.0)
-                    self.max_cwnd[i] = max(self.max_cwnd[i], self.cwnd[i])
+                        new = before + ch / max(before, 1.0)
+                        inj = max(new - before, 0.0)
+                    cwnd[i] = new
+                    if new > max_cwnd[i]:
+                        max_cwnd[i] = new
                     injected[p] = inj
-                    self.queue[qi] = max(self.queue[qi] + inj, 0.0)
+                    queue[qi] = max(q + inj, 0.0)
 
             # drain with the NIC slack and track the jittered peak, on the
             # queues that saw contributions this chunk
@@ -682,17 +686,16 @@ class FluidPopulationModel:
         sustained = np.minimum(self.queue, target)
         rejects = (member_q & ~stalled_q
                    & (sustained > boundary + _SUSTAIN_MARGIN))
-        if self.side_flows:
-            for i, rule in self.side_flows:
-                k = self.flow_ifq[i]
-                if (cnt[k] != 1 or stalled_q[k] or not active[i]
-                        or not self.cwnd[i] < self.ssthresh[i]):
-                    continue
-                ceiling = rule.sustained_queue_ceiling(self.capacity)
-                if ceiling is None:
-                    continue
-                rejects[k] = (ceiling > boundary + _STALL_EPS
-                              and sustained[k] >= ceiling - _SUSTAIN_MARGIN)
+        side_q = g[side_pos]
+        lone = side_pos[(cnt[side_q] == 1) & ~stalled_q[side_q]]
+        for i, k in zip(idx[lone].tolist(), g[lone].tolist()):
+            if not self.cwnd[i] < self.ssthresh[i]:
+                continue
+            ceiling = rules[i].sustained_queue_ceiling(self.capacity)
+            if ceiling is None:
+                continue
+            rejects[k] = (ceiling > boundary + _STALL_EPS
+                          and sustained[k] >= ceiling - _SUSTAIN_MARGIN)
         if rejects.any():
             to_stall = idx[rejects[g] & ~round_frozen]
             self._reduce_on_stall_many(to_stall, now + span, rtt)

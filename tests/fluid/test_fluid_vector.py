@@ -1,14 +1,16 @@
 """Tests for the vectorized population fluid engine.
 
 Covers scalar-vs-vector parity (the guard rail the vectorization rewrite is
-validated against), the N=1 parity suite across the single-flow, multi-flow
-and population models, open-loop churn sampling and determinism, the
+validated against), the side-channel's call accounting and a bit-exact pin
+of a restricted churn result, the N=1 parity suite across the single-flow,
+multi-flow and population models, open-loop churn sampling and determinism, the
 flow-count dispatch threshold, and the two multi-flow model bugfixes that
 landed with the engine (annotation resolution, early-exit duration).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import typing
 
@@ -17,6 +19,7 @@ import pytest
 import repro.fluid.model as fluid_model
 import repro.fluid.vector as fluid_vector
 from repro.errors import ExperimentError, UnsupportedScenarioError
+from repro.experiments.results_io import result_document
 from repro.fluid import (
     VECTOR_FLOW_THRESHOLD,
     FlowArrivalSpec,
@@ -111,6 +114,79 @@ class TestScalarVectorParity:
     def test_rejects_empty_flow_list(self):
         with pytest.raises(ExperimentError):
             FluidPopulationModel(SMALL_PATH, [])
+
+
+class TestSideChannel:
+    """Stateful rules ride a per-flow side-channel that must only ever touch
+    flows that are active in the round."""
+
+    def test_rules_are_called_only_while_their_flow_is_active(self):
+        calls = []
+        clock = [0.0]
+
+        class SpyRule(fluid_model.FluidGrowthRule):
+            # not an exact vector-path type, so it always rides the
+            # side-channel; grows like Reno so the IFQs overrun and stall
+            def __init__(self, flow):
+                self.flow = flow
+
+            def grain(self, capacity):
+                calls.append(("grain", self.flow, None))
+                return 4.0
+
+            def increment(self, acked, cwnd, occupancy_fraction, capacity, dt):
+                calls.append(("increment", self.flow, clock[0]))
+                return acked
+
+            def on_reduction(self):
+                calls.append(("on_reduction", self.flow, clock[0]))
+
+        n = 12
+        flows = [
+            FluidFlowInput(
+                name=f"s{i}", cc="spy", rule=SpyRule(i), ifq=i % 3,
+                start_time=0.35 * i,
+                stop_time=0.35 * i + 2.5 if i % 3 == 0 else None,
+                total_bytes=None if i % 3 == 0 else 150_000 * (1 + i % 4),
+                quantize_start=i % 2 == 1)
+            for i in range(n)
+        ]
+        model = FluidPopulationModel(SMALL_PATH, flows)
+        assert sorted(f for kind, f, _ in calls if kind == "grain") == list(range(n))
+
+        run_round = model._run_round
+
+        def timed_round(now, rtt, fraction):
+            clock[0] = now
+            run_round(now, rtt, fraction)
+
+        model._run_round = timed_round
+        result = model.run(8.0)
+
+        grains = [f for kind, f, _ in calls if kind == "grain"]
+        assert sorted(grains) == list(range(n)), "grain is read once per flow"
+        for i, outcome in enumerate(result.flows):
+            end = outcome.completion_time
+            assert end is not None, f"flow {i} neither completed nor stopped"
+            seen = [t for kind, f, t in calls if f == i and kind != "grain"]
+            assert seen, f"flow {i} never reached its rule"
+            assert min(seen) >= model.data_start[i] - 1e-12
+            assert max(seen) < end
+        assert any(kind == "on_reduction" for kind, _, _ in calls)
+
+    def test_restricted_churn_result_is_pinned(self):
+        # sha256 of the result document (minus its telemetry sidecar): any
+        # drift in the side-channel arithmetic or visiting order moves it
+        spec = MultiFlowSpec(
+            scenario=dumbbell(SMALL_PATH, 2, ccs="restricted"),
+            churn=FlowArrivalSpec(rate_per_s=40.0, mean_size_bytes=50_000,
+                                  size_dist="lognormal", cc="restricted"),
+            duration=5.0, seed=3, backend="fluid")
+        document = result_document(execute(spec))
+        document.pop("telemetry", None)
+        text = json.dumps(document, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f27d64cf2ee6c9c2572f0312d6c7ef6ffc4b7bf72f706e031648cb014cb55825")
 
 
 class TestSingleFlowParity:
@@ -247,6 +323,17 @@ class TestChurnDispatch:
         assert a.summary.to_dict() == b.summary.to_dict()
         c = execute(self._spec(seed=3))
         assert a.summary.to_dict() != c.summary.to_dict()
+
+    def test_restricted_churn_resolves_one_config(self):
+        # one frozen controller config for the population, but every flow
+        # still runs its own controller
+        from repro.fluid.backend import _churn_inputs
+
+        churn = FlowArrivalSpec(rate_per_s=50.0, cc="restricted")
+        inputs = _churn_inputs(churn, SMALL_PATH, 2.0, seed=1, n_pairs=2)
+        assert len(inputs) > 1
+        assert len({id(f.rule.config) for f in inputs}) == 1
+        assert len({id(f.rule.pid) for f in inputs}) == len(inputs)
 
     def test_churn_requires_fluid_backend(self):
         with pytest.raises(UnsupportedScenarioError, match="churn"):
