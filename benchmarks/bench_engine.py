@@ -7,8 +7,8 @@ are visible (the HPC guides' "measure before optimising" rule).
 
 from __future__ import annotations
 
-from repro.experiments import run_single_flow
 from repro.sim import Simulator
+from repro.spec import RunSpec, execute
 from repro.units import Mbps
 from repro.workloads import PathConfig
 
@@ -46,11 +46,8 @@ def test_event_loop_throughput(benchmark):
 
 
 def test_packet_level_tcp_throughput(benchmark):
-    result = benchmark.pedantic(
-        run_single_flow,
-        kwargs=dict(cc="restricted", config=ENGINE_PATH, duration=3.0, seed=1),
-        rounds=1, iterations=1,
-    )
+    spec = RunSpec(cc="restricted", config=ENGINE_PATH, duration=3.0, seed=1)
+    result = benchmark.pedantic(execute, args=(spec,), rounds=1, iterations=1)
     wall = max(benchmark.stats.stats.total, 1e-9)
     events_per_second = result.events_processed / wall
     benchmark.extra_info["events_per_second"] = events_per_second

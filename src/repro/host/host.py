@@ -90,7 +90,8 @@ class Host(Node):
 
     def receive(self, packet: Packet, interface: NetworkInterface) -> None:
         """Demultiplex an arriving packet to TCP or the UDP sinks."""
-        self._count_arrival(packet)
+        self.packets_received += 1
+        self.bytes_received += packet.size_bytes
         if packet.protocol == PROTO_TCP and isinstance(packet, TCPSegment):
             self.stack.handle_segment(packet)
             return

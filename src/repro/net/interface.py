@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import ConfigurationError, TopologyError
 from ..sim.engine import Simulator
-from ..units import transmission_time
 from .lossmodels import LossModel, NoLoss
 from .packet import Packet
 from .queues import PacketQueue
@@ -101,7 +100,7 @@ class NetworkInterface:
         self.rate_bps = float(rate_bps)
         self.delay_s = float(delay_s)
         self.name = name or f"{node.name}.if{len(node.interfaces)}"
-        self.loss_model: LossModel = loss_model if loss_model is not None else NoLoss()
+        self.loss_model = loss_model if loss_model is not None else NoLoss()
         self.peer_node: Optional["Node"] = None
         self.peer_interface: Optional["NetworkInterface"] = None
         self.stats = InterfaceStats()
@@ -130,6 +129,27 @@ class NetworkInterface:
             raise TopologyError(f"interface {self.name!r} is already connected")
         self.peer_node = peer_node
         self.peer_interface = peer_interface
+
+    # ------------------------------------------------------------------
+    # loss model
+    # ------------------------------------------------------------------
+    @property
+    def loss_model(self) -> LossModel:
+        """Corruption model applied after serialisation.
+
+        Assignable after wiring (scenario builders install a bottleneck
+        loss model that way).  Assignment resolves everything the per-packet
+        check needs: a :class:`NoLoss` link skips the check entirely, a
+        lossy one keeps its ``loss:<name>`` random stream.
+        """
+        return self._loss_model
+
+    @loss_model.setter
+    def loss_model(self, model: LossModel) -> None:
+        self._loss_model = model
+        self._should_drop = None if type(model) is NoLoss else model.should_drop
+        self._loss_rng = (None if self._should_drop is None
+                          else self.sim.rng(f"loss:{self.name}"))
 
     # ------------------------------------------------------------------
     # occupancy / capacity accessors (consumed by the PID controller)
@@ -174,48 +194,56 @@ class NetworkInterface:
         """
         if self.peer_node is None:
             raise TopologyError(f"interface {self.name!r} is not connected")
-        accepted = self.queue.enqueue(packet)
-        if not accepted:
+        queue = self.queue
+        if not queue.enqueue(packet):
             self.stats.enqueue_failures += 1
             for listener in self.stall_listeners:
                 listener(self, packet)
             return False
         if not self._busy:
-            self._start_transmission()
+            # start transmitting (an AQM may still drop the head: no packet)
+            head = queue.dequeue()
+            if head is not None:
+                sim = self.sim
+                self._busy = True
+                self._busy_since = sim.now
+                sim.post(head.size_bytes * 8.0 / self.rate_bps,
+                         self._transmission_complete, head)
         return True
 
     # ------------------------------------------------------------------
     # internal transmitter state machine
     # ------------------------------------------------------------------
-    def _start_transmission(self) -> None:
-        packet = self.queue.dequeue()
-        if packet is None:
-            return
-        self._busy = True
-        self._busy_since = self.sim.now
-        tx_time = transmission_time(packet.size_bytes, self.rate_bps)
-        self.sim.schedule(tx_time, self._transmission_complete, packet)
-
     def _transmission_complete(self, packet: Packet) -> None:
-        now = self.sim.now
-        self.stats.busy_time += now - self._busy_since
+        sim = self.sim
+        now = sim.now
+        stats = self.stats
+        stats.busy_time += now - self._busy_since
         self._busy = False
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.size_bytes
-        if self.loss_model.should_drop(packet, self.sim.rng(f"loss:{self.name}")):
-            self.stats.packets_lost += 1
-            self.sim.trace.record("link", "loss", time=now, iface=self.name, uid=packet.uid)
+        stats.packets_sent += 1
+        stats.bytes_sent += packet.size_bytes
+        should_drop = self._should_drop
+        if should_drop is not None and should_drop(packet, self._loss_rng):
+            stats.packets_lost += 1
+            sim.trace.record("link", "loss", time=now, iface=self.name, uid=packet.uid)
         else:
             packet.hops += 1
-            self.sim.schedule(self.delay_s, self._deliver, packet)
-        if not self.queue.is_empty:
-            self._start_transmission()
+            sim.post(self.delay_s, self._deliver, packet)
+        queue = self.queue
+        if not queue.is_empty:
+            # start the next transmission, as in send()
+            head = queue.dequeue()
+            if head is not None:
+                self._busy = True
+                self._busy_since = now
+                sim.post(head.size_bytes * 8.0 / self.rate_bps,
+                         self._transmission_complete, head)
 
     def _deliver(self, packet: Packet) -> None:
-        assert self.peer_node is not None
-        self.stats.packets_delivered += 1
-        self.stats.bytes_delivered += packet.size_bytes
-        self.peer_node.receive(packet, self.peer_interface)  # type: ignore[arg-type]
+        stats = self.stats
+        stats.packets_delivered += 1
+        stats.bytes_delivered += packet.size_bytes
+        self.peer_node.receive(packet, self.peer_interface)  # type: ignore[union-attr,arg-type]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         peer = self.peer_node.name if self.peer_node else "unconnected"

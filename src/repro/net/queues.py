@@ -101,7 +101,10 @@ class PacketQueue:
 
     Subclasses implement :meth:`_admit` to decide whether an arriving packet
     is accepted.  The base class handles FIFO order, byte accounting and
-    statistics.
+    statistics.  Its :meth:`enqueue` / :meth:`dequeue` read occupancy through
+    :attr:`qlen` (and callers use :attr:`is_empty`), never ``_queue``
+    directly, so a subclass that holds packets elsewhere (DualPI2's L4S
+    queue) overrides those two properties and stays consistent.
 
     Parameters
     ----------
@@ -111,10 +114,10 @@ class PacketQueue:
         Maximum number of queued bytes (``None`` = unbounded).  Both limits
         may be given; a packet must satisfy both to be admitted.
     clock:
-        A callable returning the current simulation time; usually
-        ``sim.now`` via ``lambda: sim.now`` or the bound property of a
-        simulator.  Queues only use it for statistics, so a constant zero
-        clock is acceptable in unit tests.
+        A callable returning the current simulation time; usually the
+        simulator's bound :meth:`~repro.sim.engine.Simulator.clock`.
+        Queues use it for statistics and sojourn times, so a constant zero
+        clock is acceptable in unit tests of drop-tail behaviour.
     """
 
     def __init__(
@@ -210,7 +213,11 @@ class PacketQueue:
             listener(self, packet)
 
     def _count_enqueue(self, packet: Packet) -> None:
-        """Account one admitted packet (call after it is physically queued)."""
+        """Account one admitted packet (call after it is physically queued).
+
+        For subclasses that override :meth:`enqueue`; the base method
+        inlines the same accounting, so the two must change together.
+        """
         self.stats.enqueued += 1
         self.stats.bytes_enqueued += packet.size_bytes
         if self.qlen > self.stats.peak_packets:
@@ -223,7 +230,11 @@ class PacketQueue:
                               size=packet.size_bytes, qlen=self.qlen)
 
     def _count_dequeue(self, packet: Packet) -> None:
-        """Account one dequeued packet (call after it physically left)."""
+        """Account one dequeued packet (call after it physically left).
+
+        For subclasses that override :meth:`dequeue` (see
+        :meth:`_count_enqueue`).
+        """
         self.stats.dequeued += 1
         self.stats.bytes_dequeued += packet.size_bytes
         if self.trace is not None:
@@ -251,26 +262,55 @@ class PacketQueue:
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> bool:
         """Try to enqueue ``packet``; returns False (and counts a drop) on failure."""
+        # QueueStats.observe and _count_enqueue, inlined: this runs once per
+        # packet-hop.  Occupancy is read through ``qlen`` so subclasses that
+        # keep packets outside ``_queue`` stay correct.
         now = self._clock()
-        self.stats.observe(now, self.qlen)
+        stats = self.stats
+        dt = now - stats._last_change
+        if dt > 0:
+            stats._occupancy_integral += self.qlen * dt
+            stats._last_change = now
         if not self._admit(packet):
             self._count_drop(packet)
             return False
         packet.enqueued_at = now
         self._queue.append(packet)
-        self._bytes += packet.size_bytes
-        self._count_enqueue(packet)
+        size = packet.size_bytes
+        self._bytes += size
+        stats.enqueued += 1
+        stats.bytes_enqueued += size
+        qlen = self.qlen
+        if qlen > stats.peak_packets:
+            stats.peak_packets = qlen
+        if self._bytes > stats.peak_bytes:
+            stats.peak_bytes = self._bytes
+        if self.trace is not None:
+            self.trace.record("queue", "enqueue", time=now,
+                              queue=self.name, uid=packet.uid,
+                              size=size, qlen=qlen)
         return True
 
     def dequeue(self) -> Packet | None:
         """Remove and return the head-of-line packet (or None when empty)."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return None
+        # QueueStats.observe and _count_dequeue, inlined (see enqueue)
         now = self._clock()
-        self.stats.observe(now, self.qlen)
-        packet = self._queue.popleft()
-        self._bytes -= packet.size_bytes
-        self._count_dequeue(packet)
+        stats = self.stats
+        dt = now - stats._last_change
+        if dt > 0:
+            stats._occupancy_integral += self.qlen * dt
+            stats._last_change = now
+        packet = queue.popleft()
+        size = packet.size_bytes
+        self._bytes -= size
+        stats.dequeued += 1
+        stats.bytes_dequeued += size
+        if self.trace is not None:
+            self.trace.record("queue", "dequeue", time=now,
+                              queue=self.name, uid=packet.uid, qlen=self.qlen)
         return packet
 
     def peek(self) -> Packet | None:
@@ -302,7 +342,12 @@ class DropTailQueue(PacketQueue):
         super().__init__(capacity_packets, capacity_bytes, clock, name)
 
     def _admit(self, packet: Packet) -> bool:
-        return self._within_capacity(packet)
+        # _within_capacity, inlined; drop-tail keeps every packet in
+        # ``_queue`` and does not override ``qlen``, so it may count there
+        if len(self._queue) + 1 > self.capacity_packets:  # type: ignore[operator]
+            return False
+        capacity_bytes = self.capacity_bytes
+        return capacity_bytes is None or self._bytes + packet.size_bytes <= capacity_bytes
 
 
 class InfiniteQueue(PacketQueue):

@@ -53,14 +53,15 @@ class Router(Node):
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, interface: "NetworkInterface") -> None:
         """Forward an arriving packet toward its destination."""
-        self._count_arrival(packet)
-        if packet.dst == self.address:
+        self.packets_received += 1
+        self.bytes_received += packet.size_bytes
+        dst = packet.dst
+        if dst == self.address:
             # Routers are not traffic endpoints in this simulator; a packet
             # addressed to the router itself is silently consumed.
             return
-        try:
-            out_iface = self.route_for(packet.dst)
-        except RoutingError:
+        out_iface = self.routing_table.get(dst)
+        if out_iface is None:
             self.no_route_drops += 1
             return
         if out_iface.send(packet):

@@ -122,7 +122,7 @@ class Topology:
         if queue_factory_ba is None:
             queue_factory_ba = queue_factory
         label = name or f"{node_a.name}--{node_b.name}"
-        clock = lambda: self.sim.now  # noqa: E731 - tiny closure is clearer here
+        clock = self.sim.clock
 
         q_ab = queue_factory(clock, f"{label}:{node_a.name}->{node_b.name}")
         q_ba = queue_factory_ba(clock, f"{label}:{node_b.name}->{node_a.name}")

@@ -5,6 +5,11 @@ The sequence number is assigned by the :class:`~repro.sim.engine.Simulator`
 at scheduling time and guarantees a deterministic FIFO order for events
 scheduled at the same instant — which in turn makes every simulation run
 bit-for-bit reproducible for a given seed.
+
+An :class:`Event` is the *handle* of a scheduled callback: the engine's
+heap entry carries the callback itself and consults the handle only to
+skip cancelled entries.  Callbacks scheduled with
+:meth:`~repro.sim.engine.Simulator.post` have no handle at all.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ class Event:
 
     Instances are created by :meth:`repro.sim.engine.Simulator.schedule`; user
     code normally only keeps the handle around to be able to
-    :meth:`cancel` it.
+    :meth:`cancel` it.  ``callback(*args)`` is what the engine runs.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "kwargs", "cancelled")
+    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled")
 
     def __init__(
         self,
@@ -43,15 +48,13 @@ class Event:
         priority: int,
         seq: int,
         callback: Callable[..., Any],
-        args: tuple = (),
-        kwargs: dict | None = None,
+        args: tuple[Any, ...] = (),
     ) -> None:
         self.time = time
         self.priority = priority
         self.seq = seq
         self.callback = callback
         self.args = args
-        self.kwargs = kwargs
         self.cancelled = False
 
     # Ordering ---------------------------------------------------------
@@ -75,14 +78,6 @@ class Event:
     def is_pending(self) -> bool:
         """True if the event has not been cancelled (it may already have run)."""
         return not self.cancelled
-
-    # Execution ----------------------------------------------------------
-    def run(self) -> None:
-        """Invoke the callback (used by the engine)."""
-        if self.kwargs:
-            self.callback(*self.args, **self.kwargs)
-        else:
-            self.callback(*self.args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.callback, "__qualname__", repr(self.callback))

@@ -62,6 +62,9 @@ class TCPStack:
         self.host = host
         self.default_options = default_options if default_options is not None else TCPOptions()
         self.connections: dict[FlowId, TCPConnection] = {}
+        #: The same connections keyed by the flow of the segments they
+        #: receive (their own flow reversed), for per-segment demux.
+        self._by_peer_flow: dict[FlowId, TCPConnection] = {}
         self.listeners: dict[int, _Listener] = {}
         self._ephemeral = itertools.count(self.EPHEMERAL_BASE)
         self.segments_received = 0
@@ -94,7 +97,7 @@ class TCPStack:
         )
         if conn.flow in self.connections:
             raise ConfigurationError(f"connection {conn.flow} already exists")
-        self.connections[conn.flow] = conn
+        self._register(conn)
         return conn
 
     def listen(
@@ -113,6 +116,10 @@ class TCPStack:
             raise ConfigurationError(f"port {port} is already listening")
         self.listeners[port] = _Listener(port, options, cc_factory, on_connection)
 
+    def _register(self, conn: TCPConnection) -> None:
+        self.connections[conn.flow] = conn
+        self._by_peer_flow[conn.flow.reversed()] = conn
+
     def connection_for(self, flow: FlowId) -> TCPConnection | None:
         """Look up a connection by its own flow identifier."""
         return self.connections.get(flow)
@@ -129,8 +136,7 @@ class TCPStack:
                                   host=getattr(self.host, "name", "?"),
                                   reason="no_flow")
             return
-        key = seg.flow.reversed()
-        conn = self.connections.get(key)
+        conn = self._by_peer_flow.get(seg.flow)
         if conn is not None:
             conn.handle_segment(seg)
             return
@@ -148,7 +154,7 @@ class TCPStack:
                     cc_factory=listener.cc_factory,
                     name=f"tcp:accept:{seg.flow.reversed()}",
                 )
-                self.connections[conn.flow] = conn
+                self._register(conn)
                 if listener.on_connection is not None:
                     listener.on_connection(conn)
                 conn.accept_syn(seg)

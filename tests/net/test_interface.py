@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
-from repro.net import DropTailQueue, NetworkInterface, Node, Packet
-from repro.net.lossmodels import BernoulliLoss, DeterministicLoss
+from repro.net import (
+    ECN_ECT1,
+    ECN_NOT_ECT,
+    DropTailQueue,
+    DualPI2Queue,
+    NetworkInterface,
+    Node,
+    Packet,
+)
+from repro.net.lossmodels import BernoulliLoss, DeterministicLoss, NoLoss
+from repro.sim import RandomStreams
 from repro.units import Mbps
 
 
@@ -165,6 +175,82 @@ class TestLossModels:
         sim.run()
         assert dst.received == []
         assert iface.stats.packets_lost == 5
+
+
+    def test_loss_free_link_draws_no_stream(self, sim):
+        _, dst, iface = build_link(sim)
+        for _ in range(3):
+            iface.send(Packet(1000, 1, 2))
+        sim.run()
+        assert len(dst.received) == 3
+        assert "loss:src->dst" not in sim.streams
+
+    def test_lossy_link_uses_its_named_stream(self, sim):
+        _, dst, iface = build_link(sim, capacity=100)
+        iface.loss_model = BernoulliLoss(0.5)
+        sent = [Packet(1000, 1, 2) for _ in range(40)]
+        for packet in sent:
+            iface.send(packet)
+        sim.run()
+        # one draw per packet, in wire order, from the "loss:<iface>" stream
+        rng = RandomStreams(sim.streams.master_seed).get("loss:src->dst")
+        kept = [p.uid for p in sent if not rng.random() < 0.5]
+        assert [p.uid for _, p in dst.received] == kept
+        assert iface.stats.packets_lost == 40 - len(kept) > 0
+
+    def test_loss_model_assigned_after_wiring_takes_effect(self, sim):
+        _, dst, iface = build_link(sim)
+        iface.loss_model = DeterministicLoss([1])
+        for _ in range(3):
+            iface.send(Packet(1000, 1, 2))
+        sim.run()
+        assert iface.stats.packets_lost == 1
+        iface.loss_model = NoLoss()
+        iface.send(Packet(1000, 1, 2))
+        sim.run()
+        assert iface.stats.packets_lost == 1
+        assert len(dst.received) == 3
+
+
+class TestQueueSubclassOccupancy:
+    """The forwarding path must read occupancy through the queue's
+    ``qlen``/``is_empty``: DualPI2 holds L4S packets outside ``_queue``."""
+
+    def build(self, sim, capacity):
+        src = SinkNode("src", 1, sim)
+        dst = SinkNode("dst", 2, sim)
+        queue = DualPI2Queue(capacity_packets=capacity, rng=np.random.default_rng(1),
+                             step_threshold=1.0, clock=sim.clock)
+        iface = NetworkInterface(sim, src, queue, Mbps(10), 0.001, name="src->dst")
+        iface.connect(dst)
+        return dst, queue, iface
+
+    def test_interface_drains_an_l4s_only_queue(self, sim):
+        dst, queue, iface = self.build(sim, capacity=20)
+        sent = [Packet(1250, 1, 2, ecn=ECN_ECT1) for _ in range(8)]
+        for packet in sent:
+            assert iface.send(packet)
+        # one packet in the transmitter, the rest held in the L4S queue
+        assert iface.qlen == 7 and not queue._queue
+        sim.run()
+        assert [p.uid for _, p in dst.received] == [p.uid for p in sent]
+        assert queue.is_empty and not iface.is_busy
+        assert queue.stats.dequeued == 8
+
+    def test_admission_counts_both_sub_queues(self, sim):
+        _, queue, iface = self.build(sim, capacity=3)
+        stalls = []
+        iface.stall_listeners.append(lambda ifc, pkt: stalls.append(pkt.uid))
+        assert iface.send(Packet(1250, 1, 2, ecn=ECN_ECT1))  # to the transmitter
+        assert iface.send(Packet(1250, 1, 2, ecn=ECN_ECT1))
+        assert iface.send(Packet(1250, 1, 2, ecn=ECN_ECT1))
+        assert iface.send(Packet(1250, 1, 2, ecn=ECN_NOT_ECT))
+        assert queue.qlen == 3 and queue.is_full
+        rejected = Packet(1250, 1, 2, ecn=ECN_ECT1)
+        assert not iface.send(rejected)
+        assert not iface.send(Packet(1250, 1, 2, ecn=ECN_NOT_ECT))
+        assert stalls[0] == rejected.uid and len(stalls) == 2
+        assert queue.stats.dropped == 2 and queue.stats.peak_packets == 3
 
 
 class TestValidation:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ScheduleInPastError, SimulationError
-from repro.sim import EventPriority, Simulator
+from repro.sim import Event, EventPriority, Simulator
 
 
 class TestScheduling:
@@ -27,10 +30,15 @@ class TestScheduling:
         assert fired == [2.0]
 
     def test_schedule_with_args_and_kwargs(self, sim):
+        # callbacks take positional args; keywords are bound with partial
         got = []
-        sim.schedule(0.1, lambda a, b=None: got.append((a, b)), 1, b=2)
+        sim.schedule(0.1, functools.partial(lambda a, b=None: got.append((a, b)), b=2), 1)
         sim.run()
         assert got == [(1, 2)]
+
+    def test_schedule_rejects_keyword_arguments(self, sim):
+        with pytest.raises(TypeError):
+            sim.schedule(0.1, lambda b=None: None, b=2)  # type: ignore[call-arg]
 
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(ScheduleInPastError):
@@ -52,6 +60,125 @@ class TestScheduling:
         for _ in range(5):
             sim.schedule(0.1, lambda: None)
         assert sim.events_scheduled == 5
+
+
+class TestSchedulingContract:
+    """One validated push behind ``schedule``, ``schedule_at`` and ``post``."""
+
+    @pytest.mark.parametrize("delay", [-1e-9, -1.0, -math.inf])
+    def test_negative_delay_raises_schedule_in_past(self, sim, delay):
+        with pytest.raises(ScheduleInPastError):
+            sim.schedule(delay, lambda: None)
+        with pytest.raises(ScheduleInPastError):
+            sim.post(delay, lambda: None)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_delay_or_time_raises(self, sim, value):
+        with pytest.raises(SimulationError) as delay_error:
+            sim.schedule(value, lambda: None)
+        with pytest.raises(SimulationError) as post_error:
+            sim.post(value, lambda: None)
+        with pytest.raises(SimulationError) as time_error:
+            sim.schedule_at(value, lambda: None)
+        for error in (delay_error, post_error, time_error):
+            assert not isinstance(error.value, ScheduleInPastError)
+
+    def test_schedule_at_in_the_past_raises(self, sim):
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(ScheduleInPastError):
+            sim.schedule_at(0.999, lambda: None)
+
+    def test_rejected_schedule_leaves_no_trace(self, sim):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(SimulationError):
+                sim.post(bad, lambda: None)
+        assert sim.events_scheduled == 0
+        assert sim.pending_events() == 0
+
+    def test_zero_delay_runs_now(self, sim):
+        fired = []
+        sim.post(0.0, lambda: fired.append(sim.now))
+        sim.schedule_at(0.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [0.0, 0.0]
+
+    def test_same_time_fifo_across_handle_and_handleless(self, sim):
+        order = []
+        for tag in range(12):
+            if tag % 3 == 0:
+                sim.post(1.0, order.append, tag)
+            elif tag % 3 == 1:
+                sim.schedule(1.0, order.append, tag)
+            else:
+                sim.schedule_at(1.0, order.append, tag)
+        sim.run()
+        assert order == list(range(12))
+
+    def test_post_returns_no_handle_and_counts(self, sim):
+        assert sim.post(0.5, lambda: None) is None
+        assert sim.events_scheduled == 1
+        sim.run()
+        assert sim.events_processed == 1
+
+    def test_post_passes_positional_args(self, sim):
+        got = []
+        sim.post(0.1, lambda a, b: got.append((a, b, sim.now)), 1, 2)
+        sim.run()
+        assert got == [(1, 2, 0.1)]
+
+    def test_clock_is_the_current_time(self, sim):
+        clock = sim.clock
+        seen = []
+        sim.post(0.25, lambda: seen.append((clock(), sim.now)))
+        sim.run()
+        assert seen == [(0.25, 0.25)]
+        assert clock() == sim.now == 0.25
+
+    def test_step_runs_handleless_entries(self, sim):
+        fired = []
+        sim.post(0.2, fired.append, "post")
+        ev = sim.schedule(0.1, fired.append, "cancelled")
+        sim.schedule(0.3, fired.append, "schedule")
+        sim.cancel(ev)
+        assert sim.step() is True
+        assert fired == ["post"]
+        assert sim.now == 0.2
+        assert sim.step() is True
+        assert fired == ["post", "schedule"]
+        assert sim.step() is False
+        assert sim.events_processed == 2
+
+    def test_drain_yields_an_event_per_pending_entry(self, sim):
+        sim.post(2.0, print, "b")
+        handle = sim.schedule(1.0, print, "a")
+        sim.cancel(handle)
+        sim.schedule_at(3.0, print, "c")
+        drained = list(sim.drain())
+        assert all(isinstance(ev, Event) for ev in drained)
+        assert [ev.time for ev in drained] == [1.0, 2.0, 3.0]
+        assert drained[0] is handle and drained[0].cancelled
+        assert [ev.args for ev in drained] == [("a",), ("b",), ("c",)]
+        assert [ev.seq for ev in drained] == [2, 1, 3]
+        assert sim.pending_events() == 0
+
+    def test_peek_next_time_sees_handleless_entries(self, sim):
+        assert sim.peek_next_time() is None
+        ev = sim.schedule(0.5, lambda: None)
+        sim.post(1.5, lambda: None)
+        sim.schedule(1.0, lambda: None)
+        sim.cancel(ev)
+        assert sim.peek_next_time() == 1.0
+        assert sim.pending_events() == 3
+
+    def test_events_processed_after_max_events(self, sim):
+        for i in range(6):
+            sim.post(0.1 * (i + 1), lambda: None)
+        sim.run(max_events=4)
+        assert sim.events_processed == 4
+        assert sim.now == pytest.approx(0.4)
+        sim.run()
+        assert sim.events_processed == 6
 
 
 class TestOrdering:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.sim import Simulator
 from repro.sim.events import Event, EventPriority
 
 
@@ -53,16 +56,24 @@ class TestCancellation:
 class TestExecution:
     def test_run_invokes_callback_with_args(self):
         got = []
-        ev = Event(1.0, EventPriority.NORMAL, 1, lambda a, b: got.append((a, b)), (1, 2))
-        ev.run()
+        sim = Simulator()
+        ev = sim.schedule(1.0, lambda a, b: got.append((a, b)), 1, 2)
+        assert ev.args == (1, 2)
+        sim.run()
         assert got == [(1, 2)]
 
     def test_run_with_kwargs(self):
+        # no keyword path: keywords are bound into the callback
         got = []
-        ev = Event(1.0, EventPriority.NORMAL, 1, lambda a, b=0: got.append((a, b)),
-                   (5,), {"b": 9})
-        ev.run()
+        sim = Simulator()
+        sim.schedule(1.0, functools.partial(lambda a, b=0: got.append((a, b)), b=9), 5)
+        sim.run()
         assert got == [(5, 9)]
+
+    def test_event_has_no_kwargs_or_run(self):
+        ev = make_event()
+        assert not hasattr(ev, "kwargs")
+        assert not hasattr(ev, "run")
 
     def test_priorities_are_ordered_constants(self):
         assert EventPriority.EARLY < EventPriority.NORMAL < EventPriority.LATE
