@@ -10,10 +10,9 @@ tolerances.
 
 from __future__ import annotations
 
-
-from repro.experiments import run_single_flow
 from repro.fluid import cross_validate
 from repro.obs.clock import wall_clock
+from repro.spec import RunSpec, execute
 
 from .conftest import emit, scaled
 
@@ -24,11 +23,12 @@ REQUIRED_SPEEDUP = 100.0
 def _paired_runs(duration: float, seed: int = 1):
     rows = []
     for cc in ("reno", "restricted"):
+        spec = RunSpec(cc=cc, duration=duration, seed=seed)
         t0 = wall_clock()
-        packet = run_single_flow(cc, duration=duration, seed=seed, backend="packet")
+        packet = execute(spec)
         packet_wall = wall_clock() - t0
         t0 = wall_clock()
-        fluid = run_single_flow(cc, duration=duration, seed=seed, backend="fluid")
+        fluid = execute(spec.replace(backend="fluid"))
         fluid_wall = wall_clock() - t0
         rows.append((cc, packet, packet_wall, fluid, fluid_wall))
     return rows

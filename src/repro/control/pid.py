@@ -18,6 +18,11 @@ with the features a real deployment needs:
 * derivative-on-measurement with an optional first-order filter, avoiding
   derivative kick when the set point changes and attenuating packet-level
   noise in the queue-occupancy signal.
+
+:meth:`PIDController.update` runs once per ACK (packet engine) or per
+sub-round chunk (fluid engines), so it reads the gains from floats cached
+when :attr:`PIDController.gains` is assigned.  :class:`PIDGains` is frozen:
+change a controller's gains by assigning a new ``PIDGains`` to ``gains``.
 """
 
 from __future__ import annotations
@@ -149,12 +154,17 @@ class PIDController:
         self.last_p = self.last_i = self.last_d = 0.0
 
     # ------------------------------------------------------------------
-    def _clamp(self, value: float) -> float:
-        if self.output_max is not None and value > self.output_max:
-            return self.output_max
-        if self.output_min is not None and value < self.output_min:
-            return self.output_min
-        return value
+    @property
+    def gains(self) -> PIDGains:
+        """Controller gains; assigning new gains takes effect on the next update."""
+        return self._gains
+
+    @gains.setter
+    def gains(self, gains: PIDGains) -> None:
+        self._gains = gains
+        self._kp = gains.kp
+        self._ki = gains.ki
+        self._kd = gains.kd
 
     def update(self, pv: float, dt: float) -> float:
         """Advance the controller by ``dt`` seconds with measurement ``pv``.
@@ -164,47 +174,67 @@ class PIDController:
         if dt <= 0:
             raise ControlError(f"dt must be positive, got {dt!r}")
         error = self.setpoint - pv
-        g = self.gains
+        kp = self._kp
+        ki = self._ki
+        kd = self._kd
+        tau = self.derivative_filter_tau
+        filtered_pv = self._filtered_pv
+        prev_pv = self._prev_pv
+        output_min = self.output_min
+        output_max = self.output_max
 
         # -- proportional --------------------------------------------------
-        p_term = g.kp * error
+        p_term = kp * error
 
         # -- derivative (on measurement, optionally filtered) --------------
-        if self.derivative_filter_tau > 0 and self._filtered_pv is not None:
-            alpha = dt / (self.derivative_filter_tau + dt)
-            filtered = self._filtered_pv + alpha * (pv - self._filtered_pv)
+        if tau > 0 and filtered_pv is not None:
+            alpha = dt / (tau + dt)
+            filtered = filtered_pv + alpha * (pv - filtered_pv)
         else:
             filtered = pv
-        if self._prev_pv is None or g.kd == 0.0:
+        if prev_pv is None or kd == 0.0:
             d_term = 0.0
         else:
-            prev = self._filtered_pv if self.derivative_filter_tau > 0 else self._prev_pv
-            d_term = -g.kd * (filtered - prev) / dt
+            prev = filtered_pv if tau > 0 else prev_pv
+            d_term = -kd * (filtered - prev) / dt
         self._filtered_pv = filtered
         self._prev_pv = pv
 
         # -- integral with anti-windup --------------------------------------
-        candidate_integral = self._integral + g.ki * error * dt
+        integral = self._integral
+        candidate_integral = integral + ki * error * dt
         unsaturated = p_term + candidate_integral + d_term
-        saturated = self._clamp(unsaturated)
-        if self.anti_windup == "back_calculation" and g.ki > 0.0:
-            # bleed the integral toward consistency with the clamped output
-            tt = self.tracking_time if self.tracking_time is not None else self.gains.ti
-            if tt > 0 and not math.isinf(tt):
+        if output_max is not None and unsaturated > output_max:
+            saturated = output_max
+        elif output_min is not None and unsaturated < output_min:
+            saturated = output_min
+        else:
+            saturated = unsaturated
+        anti_windup = self.anti_windup
+        if anti_windup == "back_calculation" and ki > 0.0:
+            # bleed the integral toward consistency with the clamped output;
+            # the tracking time defaults to Ti = kp / ki
+            tt = self.tracking_time if self.tracking_time is not None else kp / ki
+            if tt > 0 and tt != math.inf:
                 candidate_integral += (saturated - unsaturated) * dt / tt
-            self._integral = candidate_integral
-        elif self.anti_windup == "conditional" and unsaturated != saturated:
+            integral = candidate_integral
+        elif anti_windup == "conditional" and unsaturated != saturated:
             # output is saturated: only integrate if doing so drives the
             # output back toward the linear region
             if (unsaturated > saturated and error < 0) or (unsaturated < saturated and error > 0):
-                self._integral = candidate_integral
+                integral = candidate_integral
         else:
-            self._integral = candidate_integral
-        output = self._clamp(p_term + self._integral + d_term)
+            integral = candidate_integral
+        self._integral = integral
+        output = p_term + integral + d_term
+        if output_max is not None and output > output_max:
+            output = output_max
+        elif output_min is not None and output < output_min:
+            output = output_min
 
         self.last_error = error
         self.last_p = p_term
-        self.last_i = self._integral
+        self.last_i = integral
         self.last_d = d_term
         self.last_output = output
         self.updates += 1

@@ -43,6 +43,19 @@ comparable to the packet-level ACK clock.
 The model is deterministic by construction (pure arithmetic, no random
 streams): ``seed`` is carried through to results for interface parity with
 the packet backend but does not influence the dynamics.
+
+Cost
+----
+The chunk loop is the cost of every fluid sweep and campaign.  A round
+runs at most ``_MAX_CHUNKS`` (256) chunks, and each chunk below ``ssthresh``
+makes one call into the growth rule: for restricted slow-start, one
+:meth:`~repro.control.pid.PIDController.update`.  The loop keeps the window,
+``ssthresh``, the queue and the peaks in locals and writes them back to the
+model when it ends.  Mid-loop only a stall reduction reads or writes model
+state, so the window and the queue are written back before one and the
+window and ``ssthresh`` reloaded after it.  This relies on the
+:meth:`FluidGrowthRule.increment` contract: a rule sees the model only
+through its arguments.
 """
 
 from __future__ import annotations
@@ -110,6 +123,13 @@ class FluidGrowthRule:
 
     def increment(self, acked: float, cwnd: float, occupancy_fraction: float,
                   capacity: int, dt: float) -> float:
+        """Window increment granted for one chunk of ``acked`` segments.
+
+        A rule receives everything it needs as arguments and must never
+        read or write the model's state: :class:`FluidFlowModel` keeps that
+        state in locals for the whole chunk loop, so a rule reading it would
+        see stale values and a rule writing it would be overwritten.
+        """
         raise NotImplementedError
 
     def grain(self, capacity: int) -> float:
@@ -195,7 +215,9 @@ class RestrictedFluid(FluidGrowthRule):
             output_max=self.config.max_increment_per_ack,
             derivative_filter_tau=self.config.derivative_filter_tau,
         )
-        self.controller_invocations = 0
+        # the config is frozen: read the per-chunk fields once
+        self._guard = self.config.hard_setpoint_guard
+        self._setpoint = self.config.setpoint_fraction
 
     def grain(self, capacity: int) -> float:
         # Sample the occupancy ramp at roughly the resolution of the set
@@ -208,10 +230,9 @@ class RestrictedFluid(FluidGrowthRule):
     def increment(self, acked: float, cwnd: float, occupancy_fraction: float,
                   capacity: int, dt: float) -> float:
         output = self.pid.update(occupancy_fraction, dt)
-        self.controller_invocations += 1
-        guard = self.config.hard_setpoint_guard
-        if guard and occupancy_fraction >= self.config.setpoint_fraction:
-            output = min(output, 0.0)
+        guard = self._guard
+        if guard and occupancy_fraction >= self._setpoint and output > 0.0:
+            output = 0.0
         delta = output * acked
         if guard and delta > 0.0 and capacity > 0:
             # The packet-level controller re-evaluates every delayed ACK, so
@@ -219,8 +240,12 @@ class RestrictedFluid(FluidGrowthRule):
             # grant before the guard engages.  Bound the coarser fluid chunk
             # the same way, or a saturated controller could leap from below
             # the set point straight past it in a single chunk.
-            headroom = (self.config.setpoint_fraction - occupancy_fraction) * capacity
-            delta = min(delta, max(headroom, 0.0) + output * self.ack_quantum)
+            headroom = (self._setpoint - occupancy_fraction) * capacity
+            if headroom < 0.0:
+                headroom = 0.0
+            bound = headroom + output * self.ack_quantum
+            if bound < delta:
+                delta = bound
         return delta
 
     def sustained_queue_ceiling(self, capacity: int) -> float | None:
@@ -432,39 +457,8 @@ class FluidFlowModel:
         self.rule.on_reduction()
 
     # ------------------------------------------------------------------
-    # growth within one round
+    # one round
     # ------------------------------------------------------------------
-    def _grow(self, acked: float, dt: float) -> float:
-        """Apply one chunk of window growth; returns the net packets injected
-        above the ACK clock (the IFQ burst contribution; negative when a
-        trimming controller lets the queue drain)."""
-        before = self.cwnd
-        if self.cwnd < self.ssthresh:
-            delta = self.rule.increment(
-                acked, self.cwnd,
-                self.queue / self.capacity if self.capacity else 0.0,
-                self.capacity, dt)
-            if delta < 0.0:
-                # trimming controller: pull the window back (restricted
-                # slow-start holding the standing queue at the set point);
-                # the withheld injection lets the queue drain by the same amount
-                floor = max(1.0, float(self.options.initial_cwnd_segments))
-                self.cwnd = max(self.cwnd + delta, floor)
-                return self.cwnd - before
-            grown = self.cwnd + delta
-            if grown > self.ssthresh:
-                # finish slow-start exactly at ssthresh, remainder grows
-                # linearly (the RenoCC crossover rule)
-                overshoot = grown - self.ssthresh
-                self.cwnd = self.ssthresh + overshoot / max(self.ssthresh, 1.0)
-            else:
-                self.cwnd = grown
-        else:
-            # congestion avoidance: ~one segment per round trip
-            self.cwnd += acked / max(self.cwnd, 1.0)
-        self.max_cwnd = max(self.max_cwnd, self.cwnd)
-        return max(self.cwnd - before, 0.0)
-
     def _run_round(self, now: float, rtt: float, fraction: float = 1.0) -> float:
         """Advance one (possibly partial) round trip; returns acked segments."""
         window = self.window
@@ -491,26 +485,95 @@ class FluidFlowModel:
             chunks = min(max(chunks, _MIN_CHUNKS), _MAX_CHUNKS)
             chunk = acked_segments / chunks
             dt = span / chunks
+
+            # loop invariants and the state the chunks advance, in locals
+            # (see Cost in the module docstring)
+            increment = self.rule.increment
+            capacity = self.capacity
+            cap = float(capacity)
+            stall_level = capacity - _STALL_EPS
+            ack_jitter = self.ack_jitter
+            floor = max(1.0, float(self.options.initial_cwnd_segments))
+            ignore_stalls = (self.options.local_congestion_policy
+                             == LocalCongestionPolicy.IGNORE)
+            cwnd = self.cwnd
+            ssthresh = self.ssthresh
+            queue = self.queue
+            ifq_peak = self.ifq_peak
+            max_cwnd = self.max_cwnd
+            steps = self.steps
             for i in range(chunks):
-                self.steps += 1
-                injected = self._grow(chunk, dt)
-                self.queue = max(self.queue + injected, 0.0)
-                self.ifq_peak = max(self.ifq_peak, min(self.queue + self.ack_jitter,
-                                                       float(self.capacity)))
+                steps += 1
+                # One chunk of window growth.  ``injected`` is the net packets
+                # sent above the ACK clock (the IFQ burst contribution;
+                # negative when a trimming controller lets the queue drain).
+                before = cwnd
+                if cwnd < ssthresh:
+                    delta = increment(chunk, cwnd,
+                                      queue / capacity if capacity else 0.0,
+                                      capacity, dt)
+                    if delta < 0.0:
+                        # trimming controller: pull the window back (restricted
+                        # slow-start holding the standing queue at the set
+                        # point); the withheld injection lets the queue drain
+                        # by the same amount
+                        cwnd += delta
+                        if cwnd < floor:
+                            cwnd = floor
+                        injected = cwnd - before
+                    else:
+                        cwnd += delta
+                        if cwnd > ssthresh:
+                            # finish slow-start exactly at ssthresh, remainder
+                            # grows linearly (the RenoCC crossover rule)
+                            cwnd = ssthresh + (cwnd - ssthresh) / max(ssthresh, 1.0)
+                        if cwnd > max_cwnd:
+                            max_cwnd = cwnd
+                        injected = cwnd - before
+                        if injected < 0.0:
+                            injected = 0.0
+                else:
+                    # congestion avoidance: ~one segment per round trip
+                    cwnd += chunk / (1.0 if cwnd < 1.0 else cwnd)
+                    if cwnd > max_cwnd:
+                        max_cwnd = cwnd
+                    injected = cwnd - before
+                    if injected < 0.0:
+                        injected = 0.0
+
+                queue += injected
+                if queue < 0.0:
+                    queue = 0.0
+                peak = queue + ack_jitter
+                if peak > cap:
+                    peak = cap
+                if peak > ifq_peak:
+                    ifq_peak = peak
                 # A growth burst overrunning the whole queue is an enqueue
                 # rejection.  (A persistent near-full queue is the second
                 # rejection mode; it is checked on the end-of-round sustained
                 # level below, so transient grant spikes the trim immediately
                 # pulls back do not count.)
-                if self.queue > self.capacity - _STALL_EPS:
-                    self.queue = min(self.queue, float(self.capacity))
+                if queue > stall_level:
+                    if queue > cap:
+                        queue = cap
+                    self.cwnd = cwnd
+                    self.queue = queue
                     self._reduce_on_stall(now + dt * (i + 1))
+                    # reload: the IGNORE policy keeps looping
+                    cwnd = self.cwnd
+                    ssthresh = self.ssthresh
                     stalled = True
-                    if self.options.local_congestion_policy != LocalCongestionPolicy.IGNORE:
+                    if not ignore_stalls:
                         break
-            if stalled and self.options.local_congestion_policy == LocalCongestionPolicy.IGNORE:
+            if stalled and ignore_stalls and queue > cap:
                 # surplus growth was discarded at the full queue
-                self.queue = min(self.queue, float(self.capacity))
+                queue = cap
+            self.cwnd = cwnd
+            self.queue = queue
+            self.ifq_peak = ifq_peak
+            self.max_cwnd = max_cwnd
+            self.steps = steps
 
         # End of round: excess occupancy relaxes toward the standing level
         # the window implies.  With the NIC at the bottleneck rate the fluid
