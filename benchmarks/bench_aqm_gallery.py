@@ -21,8 +21,6 @@ Runs in two harnesses:
 
 from __future__ import annotations
 
-import json
-import pathlib
 from typing import Sequence
 
 from repro.experiments.aqm_gallery import (
@@ -32,6 +30,8 @@ from repro.experiments.aqm_gallery import (
     run_aqm_gallery,
 )
 from repro.obs.clock import wall_clock
+
+from . import write_artifact
 
 #: Default artifact path (repository root, like the BENCH_* convention).
 DEFAULT_ARTIFACT = "BENCH_aqm_gallery.json"
@@ -90,12 +90,6 @@ def payload_failures(payload: dict) -> list[str]:
                 f"{row['cc']}/{row['discipline']} utilization "
                 f"{row['utilization']:.3f} out of bounds")
     return failures
-
-
-def write_artifact(payload: dict, path: str | pathlib.Path) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def test_aqm_gallery(benchmark, bench_once):

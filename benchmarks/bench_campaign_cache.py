@@ -20,7 +20,6 @@ Runs in two harnesses:
 
 from __future__ import annotations
 
-import json
 import pathlib
 import tempfile
 from typing import Sequence
@@ -29,6 +28,8 @@ from repro.campaign import CampaignSpec, ResultStore, run_campaign
 from repro.experiments.sweeps import ifq_sweep_spec
 from repro.testing import SMALL_PATH
 from repro.obs.clock import wall_clock
+
+from . import write_artifact
 
 #: Speedup a warm rerun must deliver over the cold run.
 REQUIRED_SPEEDUP = 50.0
@@ -107,12 +108,6 @@ def payload_failures(payload: dict) -> list[str]:
             f"warm rerun only {payload['speedup']:.0f}x faster than cold "
             f"(need {payload['required_speedup']:.0f}x)")
     return failures
-
-
-def write_artifact(payload: dict, path: str | pathlib.Path) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def test_campaign_cache_speedup(benchmark, bench_once):

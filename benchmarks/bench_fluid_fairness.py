@@ -21,14 +21,14 @@ Runs in two harnesses:
 
 from __future__ import annotations
 
-import json
-import pathlib
 from typing import Sequence
 
 from repro.fluid import DEFAULT_FAIRNESS_TOLERANCE
 from repro.spec import MultiFlowSpec, dumbbell, execute
 from repro.workloads.scenarios import PathConfig
 from repro.obs.clock import wall_clock
+
+from . import write_artifact
 
 #: Speedup the fluid fairness path must deliver on the default 25 s run.
 REQUIRED_SPEEDUP = 20.0
@@ -115,12 +115,6 @@ def payload_failures(payload: dict) -> list[str]:
             f"aggregate goodput differs by {payload['aggregate_rel_error']:.1%} "
             f"(> {payload['aggregate_rtol']:.0%})")
     return failures
-
-
-def write_artifact(payload: dict, path: str | pathlib.Path) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def test_fluid_fairness_speedup_and_agreement(benchmark, bench_once):

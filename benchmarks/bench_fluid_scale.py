@@ -30,14 +30,14 @@ Runs in two harnesses:
 
 from __future__ import annotations
 
-import json
-import pathlib
 from typing import Sequence
 
 from repro.fluid import FlowArrivalSpec
 from repro.spec import MultiFlowSpec, dumbbell, execute
 from repro.workloads.scenarios import PathConfig
 from repro.obs.clock import wall_clock
+
+from . import write_artifact
 
 #: Flow-population sizes the scaling curve samples (arrival totals; the
 #: arrival rate is chosen per point so the count is duration-independent).
@@ -150,12 +150,6 @@ def payload_failures(payload: dict) -> list[str]:
             f"smallest to largest population "
             f"(need <={payload['scaling_slack']:.1f}x: not near-linear)")
     return failures
-
-
-def write_artifact(payload: dict, path: str | pathlib.Path) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def test_fluid_scale_near_linear(benchmark, bench_once):

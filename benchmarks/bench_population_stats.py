@@ -26,9 +26,7 @@ Runs in two harnesses:
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
 from typing import Sequence
 
 from repro.fluid import (
@@ -40,6 +38,8 @@ from repro.fluid import (
 from repro.sim.randomness import RandomStreams
 from repro.workloads.scenarios import PathConfig
 from repro.obs.clock import wall_clock
+
+from . import write_artifact
 
 #: Target churned-population size of the measured run.
 TARGET_FLOWS = 5000
@@ -175,12 +175,6 @@ def payload_failures(payload: dict) -> list[str]:
             "FCT quantiles compressed at 5k flows; the default reservoir "
             "must keep this population exact")
     return failures
-
-
-def write_artifact(payload: dict, path: str | pathlib.Path) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def test_population_summary_overhead(benchmark, bench_once):

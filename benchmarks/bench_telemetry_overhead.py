@@ -21,7 +21,6 @@ simulation itself is deterministic.  Runs in two harnesses:
 
 from __future__ import annotations
 
-import json
 import pathlib
 import tempfile
 from typing import Callable, Sequence
@@ -31,6 +30,8 @@ from repro.obs import TraceBus, trace_session
 from repro.obs.clock import wall_clock
 from repro.testing import SMALL_PATH
 from repro.spec import execute
+
+from . import write_artifact
 
 #: Enforced ceiling on the disabled-session wall-clock ratio (<2%).
 MAX_OFF_RATIO = 1.02
@@ -149,12 +150,6 @@ def payload_failures(payload: dict) -> list[str]:
         failures.append("trace-on run recorded nothing — the bus is not "
                         "reaching the engines")
     return failures
-
-
-def write_artifact(payload: dict, path: str | pathlib.Path) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def test_telemetry_overhead(benchmark, bench_once):

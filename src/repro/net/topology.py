@@ -3,8 +3,15 @@
 :class:`Topology` keeps track of nodes and bidirectional links, builds the
 per-direction :class:`~repro.net.interface.NetworkInterface` pairs, and
 computes destination-based routing tables for every
-:class:`~repro.net.router.Router` using shortest paths (hop count by
-default, propagation delay optionally) over a :mod:`networkx` graph.
+:class:`~repro.net.router.Router`.
+
+Routing rule: each router sends a packet for a host along a shortest path,
+by hop count (the default) or by summed propagation delay
+(``weight="delay"``).  Ties go to the first path found in link declaration
+order: Dijkstra pops equal distances in push order, visits a node's
+neighbours in the order their links were declared, relaxes only on a
+strictly shorter distance, and so keeps the first path it finds.  A link
+re-declared between the same two nodes overwrites the first one's delay.
 
 The concrete experiment topologies (single path, dumbbell with N flows) are
 assembled by :mod:`repro.workloads.scenarios` on top of this class.
@@ -12,9 +19,9 @@ assembled by :mod:`repro.workloads.scenarios` on top of this class.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import count
 from typing import Callable, Iterable
-
-import networkx as nx
 
 from ..errors import TopologyError
 from ..sim.engine import Simulator
@@ -75,7 +82,8 @@ class Topology:
         self.sim = sim
         self.nodes: dict[str, Node] = {}
         self.links: list[LinkSpec] = []
-        self.graph = nx.Graph()
+        # node name -> neighbour name -> link delay, both in declaration order
+        self._adj: dict[str, dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -90,7 +98,7 @@ class Topology:
                     f"duplicate address {node.address} ({existing.name!r} vs {node.name!r})"
                 )
         self.nodes[node.name] = node
-        self.graph.add_node(node.name)
+        self._adj[node.name] = {}
         return node
 
     def add_link(
@@ -141,36 +149,70 @@ class Topology:
         spec = LinkSpec(node_a, node_b, iface_ab, iface_ba, rate_bps, delay_s,
                         rate_ba_bps=rate_ba_bps)
         self.links.append(spec)
-        self.graph.add_edge(node_a.name, node_b.name, delay=delay_s, rate=rate_bps)
+        self._adj[node_a.name][node_b.name] = delay_s
+        self._adj[node_b.name][node_a.name] = delay_s
         return spec
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
+    def _shortest_paths(
+        self, source: str, weight: str | None
+    ) -> tuple[dict[str, float], dict[str, str]]:
+        """Dijkstra from ``source``: distance and first hop per reachable node.
+
+        Ties follow the module's routing rule: the heap is keyed by
+        (distance, push counter) and only a strictly shorter distance relaxes.
+        """
+        adj = self._adj
+        dist: dict[str, float] = {}
+        seen: dict[str, float] = {source: 0}
+        first_hop: dict[str, str] = {}
+        pushes = count()
+        fringe: list[tuple[float, int, str]] = [(0, next(pushes), source)]
+        while fringe:
+            d, _, v = heappop(fringe)
+            if v in dist:
+                continue
+            dist[v] = d
+            for u, delay in adj[v].items():
+                du = d + (1 if weight is None else delay)
+                if u not in dist and (u not in seen or du < seen[u]):
+                    seen[u] = du
+                    first_hop[u] = u if v == source else first_hop[v]
+                    heappush(fringe, (du, next(pushes), u))
+        return dist, first_hop
+
     def build_routes(self, weight: str | None = None) -> None:
         """Populate every router's routing table using shortest paths.
 
         Parameters
         ----------
         weight:
-            ``None`` for hop-count shortest paths, or an edge attribute name
-            (``"delay"``) to minimise that metric instead.
+            ``None`` for hop-count shortest paths, or ``"delay"`` to minimise
+            summed propagation delay instead.  Ties follow the module's
+            routing rule.  Hosts get no table; a topology without routers
+            routes nothing.
         """
-        if not nx.is_connected(self.graph) and len(self.graph) > 1:
-            raise TopologyError("topology graph is not connected")
-        paths = dict(nx.all_pairs_dijkstra_path(self.graph, weight=weight))
+        if weight not in (None, "delay"):
+            raise TopologyError(
+                f"unknown routing weight {weight!r}; use None (hop count) or 'delay'")
+        if self._adj:
+            origin = next(iter(self._adj))
+            reached, _ = self._shortest_paths(origin, None)
+            unreachable = [name for name in self._adj if name not in reached]
+            if unreachable:
+                raise TopologyError(
+                    f"topology graph is not connected: {unreachable} "
+                    f"unreachable from {origin!r}")
         for node in self.nodes.values():
             if not isinstance(node, Router):
                 continue
+            _, first_hop = self._shortest_paths(node.name, weight)
             for dest_name, dest_node in self.nodes.items():
                 if dest_name == node.name or isinstance(dest_node, Router):
                     continue
-                path = paths[node.name].get(dest_name)
-                if path is None or len(path) < 2:
-                    raise TopologyError(
-                        f"no path from {node.name!r} to {dest_name!r}"
-                    )
-                next_hop = self.nodes[path[1]]
+                next_hop = self.nodes[first_hop[dest_name]]
                 node.set_route(dest_node.address, node.interface_to(next_hop.address))
 
     # ------------------------------------------------------------------
@@ -198,9 +240,17 @@ class Topology:
             yield spec.iface_ba
 
     def path_rtt(self, name_a: str, name_b: str) -> float:
-        """Two-way propagation delay between two nodes (ignores serialisation)."""
-        delay = nx.shortest_path_length(self.graph, name_a, name_b, weight="delay")
-        return 2.0 * delay
+        """Two-way propagation delay between two nodes (ignores serialisation).
+
+        Follows the minimum-delay path, as ``build_routes(weight="delay")``.
+        """
+        for name in (name_a, name_b):
+            if name not in self._adj:
+                raise TopologyError(f"unknown node {name!r}")
+        dist, _ = self._shortest_paths(name_a, "delay")
+        if name_b not in dist:
+            raise TopologyError(f"no path from {name_a!r} to {name_b!r}")
+        return 2.0 * dist[name_b]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Topology nodes={len(self.nodes)} links={len(self.links)}>"

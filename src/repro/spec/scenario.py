@@ -234,7 +234,9 @@ class TopologySpec:
 
     nodes: tuple[NodeSpec, ...] = ()
     links: tuple[LinkSpec, ...] = ()
-    #: ``None`` routes on hop count; ``"delay"`` minimises propagation delay.
+    #: Routers forward along shortest paths: ``None`` by hop count,
+    #: ``"delay"`` by summed propagation delay.  Ties go to the first path
+    #: found in link declaration order (see :mod:`repro.net.topology`).
     routing_weight: str | None = None
 
     def __post_init__(self) -> None:

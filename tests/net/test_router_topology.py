@@ -157,6 +157,28 @@ class TestTopology:
         with pytest.raises(TopologyError):
             topo.build_routes()
 
+    def test_unknown_routing_weight_rejected(self, sim):
+        topo = Topology(sim)
+        with pytest.raises(TopologyError, match="'rate'"):
+            topo.build_routes(weight="rate")
+
+    def test_empty_topology_routes_nothing(self, sim):
+        topo = Topology(sim)
+        topo.build_routes()
+        assert topo.routers() == []
+
+    def test_path_rtt_unknown_node_raises(self, sim):
+        topo, *_ = star_topology(sim)
+        with pytest.raises(TopologyError, match="'nope'"):
+            topo.path_rtt("a", "nope")
+
+    def test_path_rtt_unreachable_node_raises(self, sim):
+        topo = Topology(sim)
+        topo.add_node(Host(sim, "a", 1))
+        topo.add_node(Host(sim, "b", 2))
+        with pytest.raises(TopologyError, match="no path from 'a' to 'b'"):
+            topo.path_rtt("a", "b")
+
     def test_interface_to_unknown_neighbor_raises(self, sim):
         topo, a, b, r = star_topology(sim)
         with pytest.raises(TopologyError):
