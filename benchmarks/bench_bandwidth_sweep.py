@@ -9,19 +9,16 @@ TCP starts stalling, opening the gap the paper reports at 100 Mbit/s.
 from __future__ import annotations
 
 from repro.experiments import render_sweep
-from repro.experiments.sweeps import bandwidth_sweep
+from repro.experiments.sweeps import bandwidth_sweep_spec
+from repro.spec import execute
 
 from .conftest import emit, scaled
 
 
 def test_bandwidth_sweep(bench_once, benchmark):
-    result = bench_once(
-        bandwidth_sweep,
-        rates_mbps=(10, 50, 100, 250),
-        duration=scaled(8.0),
-        seed=1,
-        max_workers=None,
-    )
+    spec = bandwidth_sweep_spec(rates_mbps=(10, 50, 100, 250),
+                                duration=scaled(8.0), seed=1)
+    result = bench_once(execute, spec, max_workers=None)
     emit(benchmark, render_sweep(result))
     low = result.row_for(10.0)
     high = result.row_for(100.0)

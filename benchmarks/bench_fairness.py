@@ -10,8 +10,8 @@ multi-packet loss is expensive to repair.  The benchmark therefore *records*
 the aggregate utilisation, Jain fairness index, stalls and router drops of
 all-standard / all-restricted / 50-50 populations; the assertions check
 consistency and the well-conditioned baselines rather than claiming the
-paper's mechanism helps here.  EXPERIMENTS.md discusses the measured
-outcome as an identified limitation / extension opportunity.
+paper's mechanism helps here.  The measured outcome is an identified
+limitation of a host-local signal, not a reproduction target.
 """
 
 from __future__ import annotations

@@ -7,13 +7,16 @@ restricted slow-start stays at (near) zero.
 
 from __future__ import annotations
 
-from repro.experiments import render_figure1, run_figure1
+from repro.experiments import render_figure1
+from repro.experiments.figure1 import figure1_from_comparison, figure1_spec
+from repro.spec import execute
 
 from .conftest import emit, scaled
 
 
 def test_figure1_cumulative_send_stalls(bench_once, benchmark):
-    result = bench_once(run_figure1, duration=scaled(25.0), seed=1)
+    comparison = bench_once(execute, figure1_spec(duration=scaled(25.0), seed=1))
+    result = figure1_from_comparison(comparison)
     emit(
         benchmark,
         render_figure1(result),

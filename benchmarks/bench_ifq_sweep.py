@@ -8,7 +8,8 @@ path BDP (~500 packets) the stalls disappear and the advantage shrinks.
 from __future__ import annotations
 
 from repro.experiments import render_sweep
-from repro.experiments.sweeps import ifq_size_sweep
+from repro.experiments.sweeps import ifq_sweep_spec
+from repro.spec import execute
 from repro.workloads import PathConfig
 
 from .conftest import emit, scaled
@@ -21,14 +22,9 @@ SWEEP_CONFIG = PathConfig(rwnd_factor=2.0)
 
 
 def test_ifq_size_sweep(bench_once, benchmark):
-    result = bench_once(
-        ifq_size_sweep,
-        sizes=(50, 100, 200, 400, 800),
-        duration=scaled(8.0),
-        seed=1,
-        base_config=SWEEP_CONFIG,
-        max_workers=None,
-    )
+    spec = ifq_sweep_spec(sizes=(50, 100, 200, 400, 800), duration=scaled(8.0),
+                          seed=1, base_config=SWEEP_CONFIG)
+    result = bench_once(execute, spec, max_workers=None)
     emit(benchmark, render_sweep(result))
     small = result.row_for(50)
     large = result.row_for(800)

@@ -8,19 +8,16 @@ after a stall-induced window collapse).
 from __future__ import annotations
 
 from repro.experiments import render_sweep
-from repro.experiments.sweeps import rtt_sweep
+from repro.experiments.sweeps import rtt_sweep_spec
+from repro.spec import execute
 
 from .conftest import emit, scaled
 
 
 def test_rtt_sweep(bench_once, benchmark):
-    result = bench_once(
-        rtt_sweep,
-        rtts=(0.010, 0.030, 0.060, 0.120),
-        duration=scaled(10.0),
-        seed=1,
-        max_workers=None,
-    )
+    spec = rtt_sweep_spec(rtts=(0.010, 0.030, 0.060, 0.120),
+                          duration=scaled(10.0), seed=1)
+    result = bench_once(execute, spec, max_workers=None)
     emit(benchmark, render_sweep(result))
     short = result.row_for(0.010)
     paper = result.row_for(0.060)

@@ -9,19 +9,16 @@ reappear.
 from __future__ import annotations
 
 from repro.experiments import render_sweep
-from repro.experiments.sweeps import setpoint_sweep
+from repro.experiments.sweeps import setpoint_sweep_spec
+from repro.spec import execute
 
 from .conftest import emit, scaled
 
 
 def test_setpoint_sweep(bench_once, benchmark):
-    result = bench_once(
-        setpoint_sweep,
-        setpoints=(0.5, 0.7, 0.9, 1.0),
-        duration=scaled(10.0),
-        seed=1,
-        max_workers=None,
-    )
+    spec = setpoint_sweep_spec(setpoints=(0.5, 0.7, 0.9, 1.0),
+                               duration=scaled(10.0), seed=1)
+    result = bench_once(execute, spec, max_workers=None)
     emit(benchmark, render_sweep(result))
     paper_point = result.row_for(0.9)
     # the paper's operating point: no stalls and high utilisation

@@ -8,13 +8,16 @@ restricted slow-start must win by a wide margin.
 
 from __future__ import annotations
 
-from repro.experiments import render_throughput, run_throughput_comparison
+from repro.experiments import render_throughput
+from repro.experiments.throughput import throughput_from_comparison, throughput_spec
+from repro.spec import execute
 
 from .conftest import emit, scaled
 
 
 def test_headline_throughput_improvement(bench_once, benchmark):
-    result = bench_once(run_throughput_comparison, duration=scaled(25.0), seed=1)
+    comparison = bench_once(execute, throughput_spec(duration=scaled(25.0), seed=1))
+    result = throughput_from_comparison(comparison)
     emit(
         benchmark,
         render_throughput(result),

@@ -9,7 +9,8 @@ slower, so the completion-time speedup grows with the transfer size.
 from __future__ import annotations
 
 from repro.experiments import render_sweep
-from repro.experiments.sweeps import transfer_size_sweep
+from repro.experiments.sweeps import transfer_size_sweep_spec
+from repro.spec import execute
 from repro.units import MB
 
 from .conftest import emit, scaled
@@ -20,13 +21,9 @@ def test_transfer_size_sweep(bench_once, benchmark):
 
     # fast mode shortens the time budget, so also shrink the largest transfer
     sizes = (MB(1), MB(8), MB(32), MB(32 if FAST_MODE else 128))
-    result = bench_once(
-        transfer_size_sweep,
-        sizes_bytes=sizes,
-        seed=1,
-        max_duration=scaled(60.0),
-        max_workers=None,
-    )
+    spec = transfer_size_sweep_spec(sizes_bytes=sizes, seed=1,
+                                    max_duration=scaled(60.0))
+    result = bench_once(execute, spec, max_workers=None)
     emit(benchmark, render_sweep(result))
     for row in result.rows:
         assert row["reno_completion_time"] is not None

@@ -1,8 +1,8 @@
 """Shared settings for the benchmark harness.
 
-Every benchmark regenerates one table/figure of the paper (see the
-experiment index in ``DESIGN.md`` and the measured numbers in
-``EXPERIMENTS.md``).  Benchmarks are *simulation experiments*, not
+Every benchmark regenerates one table/figure of the paper (the experiment
+registry, ``python -m repro list``, maps each id to its benchmark file).
+Benchmarks are *simulation experiments*, not
 micro-benchmarks: each runs once (``rounds=1``) and reports the rendered
 table through ``benchmark.extra_info`` and stdout (run pytest with ``-s`` to
 see the tables).

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import (
-    render_figure1,
-    render_throughput,
-    run_figure1,
-    run_throughput_comparison,
-)
+from repro.experiments import render_figure1, render_throughput
+from repro.experiments.figure1 import figure1_from_comparison, figure1_spec
+from repro.experiments.throughput import throughput_from_comparison, throughput_spec
+from repro.spec import execute
 from repro.units import Mbps
 from repro.workloads import PathConfig
 
@@ -43,13 +41,14 @@ def main() -> None:
         config = config.replace(bottleneck_rate_bps=Mbps(50))
 
     print("=== Figure 1: cumulative send-stall signals over time ===")
-    figure1 = run_figure1(duration=args.duration, config=config, seed=args.seed)
+    figure1 = figure1_from_comparison(
+        execute(figure1_spec(duration=args.duration, config=config, seed=args.seed)))
     print(render_figure1(figure1))
     print()
 
     print("=== Section 4 headline: throughput comparison ===")
-    throughput = run_throughput_comparison(duration=args.duration, config=config,
-                                           seed=args.seed)
+    throughput = throughput_from_comparison(
+        execute(throughput_spec(duration=args.duration, config=config, seed=args.seed)))
     print(render_throughput(throughput))
 
     print()

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import comparison_table, run_comparison
+from repro.experiments import comparison_table
+from repro.spec import ComparisonSpec, RunSpec, execute
 from repro.units import Mbps, format_rate
 from repro.workloads import PathConfig
 
@@ -55,8 +56,9 @@ def main() -> None:
     print(f"running {duration:.0f} s bulk transfers (this is a packet-level "
           f"simulation; please wait)...\n")
 
-    comparison = run_comparison(("reno", "restricted"), config=config,
-                                duration=duration, seed=args.seed)
+    comparison = execute(ComparisonSpec(
+        base=RunSpec(config=config, duration=duration, seed=args.seed),
+        algorithms=("reno", "restricted")))
     print(comparison_table(comparison, title="standard TCP vs restricted slow-start").render())
 
     reno = comparison.runs["reno"]

@@ -21,7 +21,7 @@ import argparse
 import numpy as np
 
 from repro.analysis import Table
-from repro.experiments import run_single_flow
+from repro.spec import RunSpec, execute
 from repro.units import Mbps, format_rate
 from repro.workloads import PathConfig
 
@@ -60,8 +60,8 @@ def main() -> None:
     trajectories: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     for algo in ALGORITHMS:
-        result = run_single_flow(algo, config=config, duration=args.duration,
-                                 seed=args.seed)
+        result = execute(RunSpec(cc=algo, config=config, duration=args.duration,
+                                 seed=args.seed))
         flow = result.flow
         table.add_row(algo, format_rate(flow.goodput_bps),
                       f"{result.link_utilization * 100:.1f}%",

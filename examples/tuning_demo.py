@@ -29,7 +29,7 @@ from repro.core import (
     autotune_gains,
     autotune_gains_fluid,
 )
-from repro.experiments import run_single_flow
+from repro.spec import RunSpec, execute
 from repro.units import Mbps, format_rate
 from repro.workloads import PathConfig
 
@@ -64,8 +64,8 @@ def main() -> None:
 
     print("\n== 3. verification run with the tuned gains ==")
     rss = RestrictedSlowStartConfig(gains=gains)
-    result = run_single_flow("restricted", config=config, duration=args.duration,
-                             rss_config=rss)
+    result = execute(RunSpec(cc="restricted", config=config, duration=args.duration,
+                             rss_config=rss))
     tail = result.ifq_occupancy[result.ifq_times > args.duration / 2.0]
     setpoint = 0.9 * config.ifq_capacity_packets
     print(f"  goodput          {format_rate(result.goodput_bps)} "

@@ -6,8 +6,8 @@ IEEE Cluster 2005.
 The package is organised as substrates (discrete-event engine, network,
 hosts, TCP) plus the paper's contribution (:mod:`repro.core`) and the
 experiment harness that regenerates the paper's figure and headline numbers
-(:mod:`repro.experiments`).  See ``DESIGN.md`` for the full inventory and
-``EXPERIMENTS.md`` for paper-vs-measured results.
+(:mod:`repro.experiments`).  The README maps every experiment to its spec
+and benchmark.
 
 Quickstart::
 
@@ -19,9 +19,11 @@ Quickstart::
 
 Every run is described by a declarative, JSON-round-trippable spec
 (:mod:`repro.spec`) dispatched through a backend registry ("packet" —
-event-driven ground truth — or "fluid" — the per-RTT fast path).  The
-legacy keyword entry points (``repro.experiments.run_single_flow`` and
-friends) remain as thin wrappers; see the README's "Spec API" section.
+event-driven ground truth — or "fluid" — the per-RTT fast path).
+``repro.spec.execute(spec)`` runs one spec and
+``repro.experiments.map_specs(specs)`` fans a batch out across processes;
+these are the only entry points.  The README's "Spec API" section maps
+the removed keyword functions to their specs.
 """
 
 from __future__ import annotations

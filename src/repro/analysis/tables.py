@@ -2,7 +2,7 @@
 
 The benchmark harness prints the same rows/series the paper reports; this
 tiny table formatter keeps that output readable both on a terminal and when
-pasted into ``EXPERIMENTS.md`` (GitHub-flavoured markdown).
+pasted into a GitHub-flavoured markdown document.
 """
 
 from __future__ import annotations

@@ -51,7 +51,6 @@ from .experiments import (
     render_sweep,
     render_throughput,
     render_tuning_ablation,
-    run_comparison,
     single_flow_summary,
 )
 from .experiments.aqm_gallery import AQMGalleryResult
@@ -65,7 +64,9 @@ from .experiments.throughput import ThroughputResult
 from .experiments.tuning_ablation import TuningAblationResult
 from .obs import TRACE_CATEGORIES
 from .spec import (
+    ComparisonSpec,
     MultiFlowSpec,
+    RunSpec,
     ScenarioSpec,
     SpecBase,
     available_scenarios,
@@ -645,10 +646,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _path_config(args)
-    comparison = run_comparison(tuple(args.algorithms), config=config,
-                                duration=args.duration,
-                                seed=args.seed if args.seed is not None else 1,
-                                backend=args.backend or "packet")
+    base = RunSpec(config=config, duration=args.duration,
+                   seed=args.seed if args.seed is not None else 1,
+                   backend=args.backend or "packet")
+    comparison = execute(ComparisonSpec(base=base, algorithms=tuple(args.algorithms)))
     print(comparison_table(comparison, title="algorithm comparison").render())
     if "restricted" in args.algorithms and "reno" in args.algorithms:
         print(f"\nimprovement of restricted over reno: "

@@ -8,14 +8,8 @@ from .aqm_gallery import (
 )
 from .baselines import BaselineComparisonResult, render_baselines, run_baseline_comparison
 from .fairness import FairnessResult, flow_mix, render_fairness, run_fairness
-from .figure1 import Figure1Result, figure1_spec, render_figure1, run_figure1
-from .parallel import (
-    default_worker_count,
-    map_runs,
-    map_specs,
-    run_multi_flow_batch,
-    run_single_flow_batch,
-)
+from .figure1 import Figure1Result, figure1_spec, render_figure1
+from .parallel import default_worker_count, map_specs
 from .registry import EXPERIMENTS, ExperimentSpec, all_experiments, get_experiment
 from .report import (
     comparison_table,
@@ -31,33 +25,19 @@ from .runner import (
     FlowResult,
     MultiFlowResult,
     SingleFlowResult,
-    run_comparison,
-    run_multi_flow,
-    run_single_flow,
 )
 from .sweeps import (
     SweepResult,
-    bandwidth_sweep,
     bandwidth_sweep_spec,
     execute_sweep_spec,
-    fairness_start_sweep,
     fairness_sweep_spec,
-    ifq_size_sweep,
     ifq_sweep_spec,
     render_sweep,
-    rtt_sweep,
     rtt_sweep_spec,
-    setpoint_sweep,
     setpoint_sweep_spec,
-    transfer_size_sweep,
     transfer_size_sweep_spec,
 )
-from .throughput import (
-    ThroughputResult,
-    render_throughput,
-    run_throughput_comparison,
-    throughput_spec,
-)
+from .throughput import ThroughputResult, render_throughput, throughput_spec
 from .tuning_ablation import (
     TuningAblationResult,
     render_tuning_ablation,
@@ -65,26 +45,15 @@ from .tuning_ablation import (
 )
 
 __all__ = [
-    "run_single_flow",
-    "run_comparison",
-    "run_multi_flow",
     "FlowResult",
     "SingleFlowResult",
     "MultiFlowResult",
     "ComparisonResult",
-    "run_figure1",
     "render_figure1",
     "Figure1Result",
-    "run_throughput_comparison",
     "render_throughput",
     "ThroughputResult",
     "SweepResult",
-    "ifq_size_sweep",
-    "rtt_sweep",
-    "bandwidth_sweep",
-    "setpoint_sweep",
-    "transfer_size_sweep",
-    "fairness_start_sweep",
     "render_sweep",
     "run_tuning_ablation",
     "render_tuning_ablation",
@@ -107,10 +76,7 @@ __all__ = [
     "single_flow_summary",
     "cumulative_stall_series",
     "render_series",
-    "map_runs",
     "map_specs",
-    "run_single_flow_batch",
-    "run_multi_flow_batch",
     "default_worker_count",
     "EXPERIMENTS",
     "ExperimentSpec",

@@ -15,10 +15,10 @@ from typing import Sequence
 
 from ..analysis.tables import Table
 from ..errors import ExperimentError
+from ..spec import RunSpec
 from ..units import format_rate
 from ..workloads.scenarios import PathConfig
-from .parallel import map_runs
-from .runner import run_single_flow
+from .parallel import map_specs
 
 __all__ = ["BaselineComparisonResult", "run_baseline_comparison", "render_baselines"]
 
@@ -53,9 +53,9 @@ def run_baseline_comparison(
 ) -> BaselineComparisonResult:
     """Run the paper's single-flow workload under each algorithm."""
     cfg = config if config is not None else PathConfig()
-    kwargs_list = [dict(cc=algo, config=cfg, duration=duration, seed=seed)
-                   for algo in algorithms]
-    runs = map_runs(run_single_flow, kwargs_list, max_workers=max_workers)
+    specs = [RunSpec(cc=algo, config=cfg, duration=duration, seed=seed)
+             for algo in algorithms]
+    runs = map_specs(specs, max_workers=max_workers)
     result = BaselineComparisonResult(duration=duration)
     for algo, run in zip(algorithms, runs):
         result.rows.append({

@@ -6,10 +6,11 @@ the 100 Mbit/s, 60 ms ANL–LBNL path.  The paper's plot shows the standard
 stack accumulating a handful of stalls during the transfer while the
 proposed scheme stays at (essentially) zero.
 
-:func:`run_figure1` reruns that workload for both algorithms with the same
-seed and returns, per algorithm, the cumulative-stall time series (the
-figure's curves) plus the totals; :func:`render_figure1` prints the series
-in the same rows the paper plots.
+``execute(figure1_spec(...))`` reruns that workload for both algorithms
+with the same seed; :func:`figure1_from_comparison` folds the paired runs
+into, per algorithm, the cumulative-stall time series (the figure's curves)
+plus the totals; :func:`render_figure1` prints the series in the same rows
+the paper plots.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..spec import ComparisonSpec, RunSpec, execute
+from ..spec import ComparisonSpec, RunSpec
 from ..workloads.scenarios import PathConfig
 from .report import cumulative_stall_series, render_series
 from .runner import ComparisonResult, SingleFlowResult
 
 __all__ = ["Figure1Result", "figure1_spec", "figure1_from_comparison",
-           "run_figure1", "render_figure1"]
+           "render_figure1"]
 
 #: Algorithm labels used in the figure (paper's legend: "Standard TCP" /
 #: "Proposed Scheme").
@@ -93,23 +94,6 @@ def figure1_from_comparison(
         standard_run=standard,
         proposed_run=proposed,
     )
-
-
-def run_figure1(
-    duration: float = 25.0,
-    config: PathConfig | None = None,
-    seed: int = 1,
-    sample_interval: float = 1.0,
-    backend: str = "packet",
-) -> Figure1Result:
-    """Regenerate Figure 1 (cumulative send-stall signals vs time).
-
-    .. deprecated::
-        Thin wrapper over ``execute(figure1_spec(...))``.
-    """
-    comparison = execute(figure1_spec(duration=duration, config=config,
-                                      seed=seed, backend=backend))
-    return figure1_from_comparison(comparison, sample_interval=sample_interval)
 
 
 def render_figure1(result: Figure1Result) -> str:

@@ -15,21 +15,16 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 from ..errors import ExperimentError
-from ..spec import MultiFlowSpec, RunSpec, SpecBase, execute
+from ..spec import SpecBase, execute
 
 __all__ = [
     "MAX_WORKERS_ENV",
     "default_worker_count",
     "map_specs",
-    "map_runs",
-    "run_single_flow_batch",
-    "run_multi_flow_batch",
 ]
-
-T = TypeVar("T")
 
 
 #: Environment variable capping process fan-out without code changes (CI,
@@ -79,77 +74,3 @@ def map_specs(specs: Sequence[SpecBase], max_workers: int | None = None) -> list
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         futures = [pool.submit(execute, spec) for spec in specs]
         return [f.result() for f in futures]
-
-
-def map_runs(
-    worker: Callable[..., T],
-    kwargs_list: Sequence[dict],
-    max_workers: int | None = None,
-) -> list[T]:
-    """Apply ``worker(**kwargs)`` to every element of ``kwargs_list``.
-
-    Generic kwarg fan-out retained for ad-hoc callables; spec-driven code
-    should prefer :func:`map_specs`.  Results are returned in input order.
-    ``max_workers`` of 0 or 1 runs serially in-process; ``None`` uses
-    :func:`default_worker_count`.
-    """
-    if not kwargs_list:
-        raise ExperimentError("kwargs_list must not be empty")
-    if max_workers is None:
-        max_workers = default_worker_count()
-    if max_workers <= 1 or len(kwargs_list) == 1:
-        return [worker(**kwargs) for kwargs in kwargs_list]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(worker, **kwargs) for kwargs in kwargs_list]
-        return [f.result() for f in futures]
-
-
-def run_single_flow_batch(
-    kwargs_list: Sequence[dict],
-    max_workers: int | None = None,
-    backend: str | None = None,
-):
-    """Parallel batch of single-flow runs.
-
-    .. deprecated::
-        Thin wrapper that converts each kwargs dictionary into a
-        :class:`repro.spec.RunSpec` and fans out via :func:`map_specs`;
-        new code should build the specs directly.
-
-    ``backend`` (``"packet"`` or ``"fluid"``) is applied as the default for
-    every run in the batch; per-run ``backend`` keys take precedence.
-    Unknown keywords and unknown backends fail before any work is submitted.
-    """
-    if backend is not None:
-        kwargs_list = [{"backend": backend, **kwargs} for kwargs in kwargs_list]
-    specs = [RunSpec.from_kwargs(**kwargs) for kwargs in kwargs_list]
-    return map_specs(specs, max_workers=max_workers)
-
-
-def run_multi_flow_batch(kwargs_list: Sequence[dict], max_workers: int | None = None):
-    """Parallel batch of multi-flow runs.
-
-    .. deprecated::
-        Thin wrapper that converts each kwargs dictionary (the historical
-        ``run_multi_flow`` signature, with the flow list under ``"specs"``)
-        into a :class:`repro.spec.MultiFlowSpec` and fans out via
-        :func:`map_specs`.
-    """
-    multi_specs = []
-    for kwargs in kwargs_list:
-        kwargs = dict(kwargs)
-        try:
-            flows = tuple(kwargs.pop("specs"))
-        except KeyError:
-            raise ExperimentError(
-                "each run_multi_flow_batch entry needs a 'specs' flow list"
-            ) from None
-        if kwargs.get("config") is None:
-            kwargs.pop("config", None)
-        try:
-            multi_specs.append(MultiFlowSpec(flows=flows, **kwargs))
-        except TypeError:
-            raise ExperimentError(
-                f"unknown run_multi_flow keyword(s) in {sorted(kwargs)}; "
-                "valid keywords are the MultiFlowSpec fields") from None
-    return map_specs(multi_specs, max_workers=max_workers)

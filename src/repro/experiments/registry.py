@@ -1,4 +1,4 @@
-"""Experiment registry — one entry per table/figure/ablation in DESIGN.md.
+"""Experiment registry — one entry per paper figure, table and ablation.
 
 Maps the experiment identifiers used throughout the documentation (E1, E2,
 ...) to what regenerates them.  Every experiment the spec layer can express

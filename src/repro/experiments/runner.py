@@ -1,29 +1,18 @@
 """Experiment runner.
 
 The harness every experiment and benchmark in this repository is built on.
-Since the spec redesign the unit of work is a declarative, serializable
-spec (:mod:`repro.spec`): :class:`~repro.spec.RunSpec` describes one bulk
-transfer, and :func:`repro.spec.execute` dispatches it through the backend
-registry (``packet`` — the event-driven ground truth implemented here by
-:func:`execute_packet_run` — or ``fluid``, the per-RTT fast path).
-
-The historical keyword signatures remain as thin deprecated wrappers that
-construct specs:
-
-* :func:`run_single_flow` — one bulk transfer, returning goodput, Web100
-  counters, and the IFQ / cwnd / goodput time series needed for the figures;
-* :func:`run_comparison` — the same workload under several algorithms with
-  identical seeds (paired comparison, as in the paper's Section 4);
-* :func:`run_multi_flow` — N concurrent flows sharing the bottleneck, for
-  the fairness experiments.
-
-See the README's "Spec API" section for the migration table and the
-deprecation policy for these wrappers.
+The unit of work is a declarative, serializable spec (:mod:`repro.spec`):
+:class:`~repro.spec.RunSpec` describes one bulk transfer,
+:class:`~repro.spec.ComparisonSpec` the same transfer under several
+algorithms with identical seeds, and :class:`~repro.spec.MultiFlowSpec` N
+concurrent flows sharing a bottleneck.  :func:`repro.spec.execute`
+dispatches each through the backend registry; this module implements the
+``packet`` backend (the event-driven ground truth) and the result
+containers every backend returns.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,9 +27,7 @@ from ..instrumentation.tracer import TimeSeriesTracer
 from ..metrics import FlowRecord, PopulationSummary, SummaryAccumulator
 from ..obs import telemetry as obs
 from ..sim.engine import Simulator
-from ..spec import ComparisonSpec, MultiFlowSpec, RunSpec, execute
-from ..tcp.state import LocalCongestionPolicy
-from ..workloads.bulk import BulkFlowSpec
+from ..spec import ComparisonSpec, MultiFlowSpec, RunSpec
 from ..workloads.scenarios import PathConfig, Scenario, build_dumbbell
 
 __all__ = [
@@ -48,9 +35,6 @@ __all__ = [
     "SingleFlowResult",
     "MultiFlowResult",
     "ComparisonResult",
-    "run_single_flow",
-    "run_comparison",
-    "run_multi_flow",
     "execute_packet_run",
     "execute_multi_flow_spec",
     "DEFAULT_PACKET_TRACE_INTERVAL",
@@ -486,133 +470,3 @@ def _execute_scenario_multi_flow(spec: MultiFlowSpec) -> MultiFlowResult:
         )
         _report_packet_counters(sim, scenario, flows)
     return result
-
-
-# ---------------------------------------------------------------------------
-# deprecated keyword wrappers (construct specs; see README "Spec API")
-# ---------------------------------------------------------------------------
-
-def run_single_flow(
-    cc: str = "reno",
-    config: PathConfig | None = None,
-    duration: float = 25.0,
-    seed: int = 1,
-    total_bytes: int | None = None,
-    cc_kwargs: dict | None = None,
-    rss_config: RestrictedSlowStartConfig | None = None,
-    local_congestion_policy: LocalCongestionPolicy | None = None,
-    trace_interval: float | None = None,
-    run_past_duration_until_complete: bool = False,
-    backend: str = "packet",
-) -> SingleFlowResult:
-    """Run one bulk transfer and collect everything the experiments report.
-
-    .. deprecated::
-        Thin wrapper over ``execute(RunSpec(...))`` kept for downstream
-        code; new code should construct a :class:`repro.spec.RunSpec`.
-
-    Parameters
-    ----------
-    cc:
-        Congestion-control registry name ("reno", "restricted", ...).
-    config:
-        Path parameters; defaults to the paper's ANL–LBNL path.
-    duration:
-        Simulated seconds (the paper's Figure 1 covers 25 s).
-    seed:
-        Master seed for the simulator's random streams.
-    total_bytes:
-        Finite transfer size, or ``None`` for a transfer that fills the whole
-        duration.
-    cc_kwargs:
-        Extra keyword arguments for the algorithm factory (ignored when
-        ``rss_config`` is given for the restricted algorithm).
-    rss_config:
-        Explicit :class:`RestrictedSlowStartConfig` for ``cc="restricted"``.
-    local_congestion_policy:
-        Override the stack's reaction to send-stalls (ablation E6).
-    trace_interval:
-        Sampling period of the IFQ / cwnd / goodput traces; ``None`` (the
-        default) uses the backend's native resolution — 0.05 s on the
-        packet engine, one sample per round trip on the fluid engine (which
-        warns if an explicit interval is requested).
-    run_past_duration_until_complete:
-        With a finite ``total_bytes``, keep simulating (up to 10× duration)
-        until the transfer completes — used by the transfer-size sweep.
-    backend:
-        Registered engine name (``"packet"`` — event-driven ground truth —
-        or ``"fluid"`` — the per-RTT difference-equation fast path).
-        Validated eagerly: an unknown name raises :class:`ExperimentError`
-        listing the registered backends before any simulation work.
-    """
-    spec = RunSpec(
-        cc=cc,
-        config=config if config is not None else PathConfig(),
-        duration=duration,
-        seed=seed,
-        total_bytes=total_bytes,
-        cc_kwargs=dict(cc_kwargs) if cc_kwargs else {},
-        rss_config=rss_config,
-        local_congestion_policy=local_congestion_policy,
-        trace_interval=trace_interval,
-        run_past_duration_until_complete=run_past_duration_until_complete,
-        backend=backend,
-    )
-    return execute(spec)
-
-
-def run_comparison(
-    algorithms: Sequence[str] = ("reno", "restricted"),
-    baseline: str = "reno",
-    **kwargs,
-) -> ComparisonResult:
-    """Run the same single-flow workload under several algorithms.
-
-    .. deprecated::
-        Thin wrapper over ``execute(ComparisonSpec(...))``; ``kwargs`` are
-        the :class:`repro.spec.RunSpec` fields (config, duration, seed,
-        backend, ...).
-    """
-    spec = ComparisonSpec(base=RunSpec.from_kwargs(**kwargs),
-                          algorithms=tuple(algorithms), baseline=baseline)
-    return execute(spec)
-
-
-def run_multi_flow(
-    specs: Sequence[BulkFlowSpec],
-    config: PathConfig | None = None,
-    duration: float = 25.0,
-    seed: int = 1,
-    shared_paths: bool = False,
-) -> MultiFlowResult:
-    """Run several concurrent bulk flows over one bottleneck.
-
-    .. deprecated::
-        The dumbbell shape (and the ``shared_paths`` knob) is now
-        declarative: this wrapper converts its arguments into the
-        equivalent :class:`~repro.spec.scenario.ScenarioSpec` (via
-        :func:`repro.spec.scenario.from_bulk_flows`) and executes a
-        ``MultiFlowSpec(scenario=...)``, emitting a ``DeprecationWarning``.
-        Build the scenario spec directly in new code.
-
-    ``shared_paths=False`` gives every flow its own sender/receiver pair (the
-    usual dumbbell); ``True`` puts all flows on the first pair so they also
-    share the sending host's IFQ.  One behavioural repair rides along: an
-    explicit ``BulkFlowSpec.path_index`` is now honoured (the legacy runner
-    silently ignored it); specs leaving it ``None`` reproduce the legacy
-    placement exactly.
-    """
-    warnings.warn(
-        "run_multi_flow is deprecated: declare the scenario instead — "
-        "execute(MultiFlowSpec(scenario=repro.spec.from_bulk_flows(specs, "
-        "config, shared_paths), duration=..., seed=...))",
-        DeprecationWarning, stacklevel=2)
-    from ..spec.scenario import from_bulk_flows
-
-    spec = MultiFlowSpec(
-        scenario=from_bulk_flows(tuple(specs), config=config,
-                                 shared_paths=shared_paths),
-        duration=duration,
-        seed=seed,
-    )
-    return execute(spec)

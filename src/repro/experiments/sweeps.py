@@ -1,26 +1,26 @@
-"""Parameter-sweep experiments (E3, E4, E5, E6, E10).
+"""Parameter-sweep experiments (E3, E4, E5, E6, E10, E12).
 
 The paper's evaluation is a single operating point (100 Mbit/s, 60 ms,
 txqueuelen 100).  These sweeps map out how the comparison behaves around
 that point, which both sanity-checks the reproduction (the advantage should
-vanish when the IFQ is larger than the BDP) and covers the ablations listed
-in ``DESIGN.md``:
+vanish when the IFQ is larger than the BDP) and covers the ablations:
 
-* :func:`ifq_size_sweep` (E3) — ``txqueuelen`` from 25 to 1000 packets;
-* :func:`rtt_sweep` (E4) — 10 to 200 ms;
-* :func:`bandwidth_sweep` (E5) — 10 to 622 Mbit/s;
-* :func:`setpoint_sweep` (E6) — controller set point 0.5 to 1.0;
-* :func:`transfer_size_sweep` (E10) — completion time of 1 MB to 256 MB
-  transfers.
+* :func:`ifq_sweep_spec` (E3) — ``txqueuelen`` from 25 to 1000 packets;
+* :func:`rtt_sweep_spec` (E4) — 10 to 200 ms;
+* :func:`bandwidth_sweep_spec` (E5) — 10 to 622 Mbit/s;
+* :func:`setpoint_sweep_spec` (E6) — controller set point 0.5 to 1.0;
+* :func:`transfer_size_sweep_spec` (E10) — completion time of 1 MB to
+  256 MB transfers;
+* :func:`fairness_sweep_spec` (E12) — the second flow's start offset.
 
-Every sweep is declaratively described by a :class:`repro.spec.SweepSpec`
-(built by the ``*_sweep_spec`` helpers, which the experiment registry also
-uses) and executed by :func:`execute_sweep_spec`: the grid expands into one
+Each builder returns a declarative :class:`repro.spec.SweepSpec` (the
+experiment registry uses the same builders), and
+``repro.spec.execute(spec, max_workers=...)`` runs it through
+:func:`execute_sweep_spec`: the grid expands into one
 :class:`~repro.spec.RunSpec` per (point, algorithm), fans out across the
 process pool (workers pickle one spec each), and the runs are folded into a
 :class:`SweepResult` whose rows carry, per parameter value, the goodput and
-stall counts of the compared algorithms.  The historical keyword signatures
-remain as thin wrappers that build a spec and execute it.
+stall counts of the compared algorithms.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from ..analysis.tables import Table
 from ..core.config import RestrictedSlowStartConfig
 from ..errors import ExperimentError
 from ..obs.telemetry import aggregate
-from ..spec import MultiFlowSpec, RunSpec, SweepSpec, execute
+from ..spec import MultiFlowSpec, RunSpec, SweepSpec
 from ..units import MB, Mbps, format_rate
 from ..workloads.scenarios import PathConfig
 from .parallel import map_specs
@@ -46,12 +46,6 @@ __all__ = [
     "setpoint_sweep_spec",
     "fairness_sweep_spec",
     "transfer_size_sweep_spec",
-    "ifq_size_sweep",
-    "rtt_sweep",
-    "bandwidth_sweep",
-    "setpoint_sweep",
-    "transfer_size_sweep",
-    "fairness_start_sweep",
     "render_sweep",
 ]
 
@@ -297,98 +291,6 @@ def transfer_size_sweep_spec(
         row_style="completion",
         base=RunSpec(config=base, duration=max_duration, seed=seed, backend=backend),
     )
-
-
-# ---------------------------------------------------------------------------
-# deprecated keyword wrappers (construct specs; see README "Spec API")
-# ---------------------------------------------------------------------------
-
-def ifq_size_sweep(
-    sizes: Sequence[int] = (25, 50, 100, 200, 400, 1000),
-    duration: float = 10.0,
-    seed: int = 1,
-    base_config: PathConfig | None = None,
-    max_workers: int | None = None,
-    backend: str = "packet",
-) -> SweepResult:
-    """Sweep the sender ``txqueuelen`` (E3)."""
-    spec = ifq_sweep_spec(sizes=sizes, duration=duration, seed=seed,
-                          base_config=base_config, backend=backend)
-    return execute(spec, max_workers=max_workers)
-
-
-def rtt_sweep(
-    rtts: Sequence[float] = (0.010, 0.030, 0.060, 0.120, 0.200),
-    duration: float = 10.0,
-    seed: int = 1,
-    base_config: PathConfig | None = None,
-    max_workers: int | None = None,
-    backend: str = "packet",
-) -> SweepResult:
-    """Sweep the path round-trip time (E4)."""
-    spec = rtt_sweep_spec(rtts=rtts, duration=duration, seed=seed,
-                          base_config=base_config, backend=backend)
-    return execute(spec, max_workers=max_workers)
-
-
-def bandwidth_sweep(
-    rates_mbps: Sequence[float] = (10, 50, 100, 250, 622),
-    duration: float = 10.0,
-    seed: int = 1,
-    base_config: PathConfig | None = None,
-    max_workers: int | None = None,
-    backend: str = "packet",
-) -> SweepResult:
-    """Sweep the bottleneck (and NIC) rate (E5)."""
-    spec = bandwidth_sweep_spec(rates_mbps=rates_mbps, duration=duration, seed=seed,
-                                base_config=base_config, backend=backend)
-    return execute(spec, max_workers=max_workers)
-
-
-def setpoint_sweep(
-    setpoints: Sequence[float] = (0.5, 0.7, 0.8, 0.9, 0.95, 1.0),
-    duration: float = 10.0,
-    seed: int = 1,
-    base_config: PathConfig | None = None,
-    max_workers: int | None = None,
-    backend: str = "packet",
-) -> SweepResult:
-    """Sweep the PID set point (the paper fixes 0.9) — restricted only (E6)."""
-    spec = setpoint_sweep_spec(setpoints=setpoints, duration=duration, seed=seed,
-                               base_config=base_config, backend=backend)
-    return execute(spec, max_workers=max_workers)
-
-
-def transfer_size_sweep(
-    sizes_bytes: Sequence[float] = (MB(1), MB(8), MB(32), MB(128), MB(256)),
-    seed: int = 1,
-    base_config: PathConfig | None = None,
-    max_duration: float = 60.0,
-    max_workers: int | None = None,
-    backend: str = "packet",
-) -> SweepResult:
-    """Completion time of finite transfers under both algorithms (E10)."""
-    spec = transfer_size_sweep_spec(sizes_bytes=sizes_bytes, seed=seed,
-                                    base_config=base_config,
-                                    max_duration=max_duration, backend=backend)
-    return execute(spec, max_workers=max_workers)
-
-
-def fairness_start_sweep(
-    start_times: Sequence[float] = (0.0, 0.5, 1.0, 2.0, 4.0),
-    n_flows: int = 2,
-    ccs: str | Sequence[str] = "reno",
-    duration: float = 15.0,
-    seed: int = 1,
-    base_config: PathConfig | None = None,
-    max_workers: int | None = None,
-    backend: str = "packet",
-) -> SweepResult:
-    """Stagger the second flow's start across a grid (E12)."""
-    spec = fairness_sweep_spec(start_times=start_times, n_flows=n_flows,
-                               ccs=ccs, duration=duration, seed=seed,
-                               base_config=base_config, backend=backend)
-    return execute(spec, max_workers=max_workers)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Section 4: "Preliminary results show that our scheme is able to achieve 40%
 improvement in throughput compared to the standard TCP" on the 100 Mbit/s,
 60 ms-RTT ANL–LBNL path.
 
-:func:`run_throughput_comparison` reruns the paired bulk transfer and
-reports goodput for standard TCP and restricted slow-start plus the relative
-improvement; :func:`render_throughput` prints the table the paper's text
-summarises.
+``execute(throughput_spec(...))`` reruns the paired bulk transfer;
+:func:`throughput_from_comparison` reports goodput for standard TCP and
+restricted slow-start plus the relative improvement; :func:`render_throughput`
+prints the table the paper's text summarises.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.metrics import improvement_percent
-from ..spec import ComparisonSpec, RunSpec, execute
+from ..spec import ComparisonSpec, RunSpec
 from ..workloads.scenarios import PathConfig
 from .report import comparison_table
 from .runner import ComparisonResult
 
 __all__ = ["ThroughputResult", "throughput_spec", "throughput_from_comparison",
-           "run_throughput_comparison", "render_throughput"]
+           "render_throughput"]
 
 #: Improvement the paper reports (percent).
 PAPER_IMPROVEMENT_PERCENT = 40.0
@@ -70,22 +70,6 @@ def throughput_from_comparison(comparison: ComparisonResult) -> ThroughputResult
     duration = (comparison.spec.base.duration if comparison.spec is not None
                 else comparison.runs["reno"].duration)
     return ThroughputResult(comparison=comparison, duration=duration)
-
-
-def run_throughput_comparison(
-    duration: float = 25.0,
-    config: PathConfig | None = None,
-    seed: int = 1,
-    backend: str = "packet",
-) -> ThroughputResult:
-    """Run the paired standard-vs-restricted bulk transfer.
-
-    .. deprecated::
-        Thin wrapper over ``execute(throughput_spec(...))``.
-    """
-    comparison = execute(throughput_spec(duration=duration, config=config,
-                                         seed=seed, backend=backend))
-    return throughput_from_comparison(comparison)
 
 
 def render_throughput(result: ThroughputResult) -> str:

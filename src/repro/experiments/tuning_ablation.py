@@ -20,10 +20,10 @@ from ..control.ziegler_nichols import PAPER_RULE, TUNING_RULES, gains_from_ultim
 from ..core.config import DEFAULT_ULTIMATE, RestrictedSlowStartConfig
 from ..core.tuning import autotune_gains_fluid
 from ..errors import ExperimentError
+from ..spec import RunSpec
 from ..units import format_rate
 from ..workloads.scenarios import PathConfig
-from .parallel import map_runs
-from .runner import run_single_flow
+from .parallel import map_specs
 
 __all__ = ["TuningAblationResult", "run_tuning_ablation", "render_tuning_ablation"]
 
@@ -64,7 +64,7 @@ def run_tuning_ablation(
     """Run restricted slow-start under gains from each tuning rule."""
     cfg = config if config is not None else PathConfig()
     labels: list[str] = []
-    kwargs_list: list[dict] = []
+    specs: list[RunSpec] = []
     ultimate = DEFAULT_ULTIMATE
     for rule in rules:
         if rule not in TUNING_RULES:
@@ -72,16 +72,16 @@ def run_tuning_ablation(
         gains = gains_from_ultimate(ultimate, rule)
         rss = RestrictedSlowStartConfig(gains=gains)
         labels.append(rule)
-        kwargs_list.append(dict(cc="restricted", config=cfg, duration=duration,
-                                seed=seed, rss_config=rss))
+        specs.append(RunSpec(cc="restricted", config=cfg, duration=duration,
+                             seed=seed, rss_config=rss))
     if include_relay_tuned:
         tuned = autotune_gains_fluid(cfg, rule=PAPER_RULE)
         rss = RestrictedSlowStartConfig(gains=tuned.gains)
         labels.append("relay_tuned+" + PAPER_RULE)
-        kwargs_list.append(dict(cc="restricted", config=cfg, duration=duration,
-                                seed=seed, rss_config=rss))
+        specs.append(RunSpec(cc="restricted", config=cfg, duration=duration,
+                             seed=seed, rss_config=rss))
 
-    runs = map_runs(run_single_flow, kwargs_list, max_workers=max_workers)
+    runs = map_specs(specs, max_workers=max_workers)
     result = TuningAblationResult(duration=duration)
     for label, run in zip(labels, runs):
         tail = run.ifq_occupancy[run.ifq_times > duration / 2.0]

@@ -7,18 +7,17 @@ run costs thousands of arithmetic steps instead of millions of events,
 which makes the E3–E5 style sweeps cheap while the packet engine remains
 the ground truth (see :mod:`repro.fluid.validate` for the agreement gate).
 
-Select it anywhere the experiment harness runs a single flow::
+Select it on any spec through the backend registry::
 
-    from repro.experiments import run_single_flow
+    from repro.spec import RunSpec, execute
 
-    fast = run_single_flow("restricted", duration=25.0, backend="fluid")
+    fast = execute(RunSpec(cc="restricted", duration=25.0, backend="fluid"))
 """
 
 from .backend import (
     FLUID_BACKEND,
     VECTOR_FLOW_THRESHOLD,
     execute_fluid_multi_flow,
-    run_single_flow_fluid,
 )
 from .model import (
     FLUID_ALGORITHMS,
@@ -58,7 +57,6 @@ __all__ = [
     "FlowArrivalSpec",
     "ChurnArrival",
     "cross_validate_population",
-    "run_single_flow_fluid",
     "execute_fluid_multi_flow",
     "FluidFlowModel",
     "FluidFlowInput",

@@ -25,8 +25,7 @@ import numpy as np
 from ..core.config import RestrictedSlowStartConfig
 from ..errors import ExperimentError
 from ..obs import telemetry as obs
-from ..spec import RunSpec, execute
-from ..tcp.state import LocalCongestionPolicy
+from ..spec import RunSpec
 from ..workloads.scenarios import PathConfig
 from .model import (
     FluidFlowInput,
@@ -37,7 +36,6 @@ from .model import (
 )
 
 __all__ = [
-    "run_single_flow_fluid",
     "execute_fluid_run",
     "execute_fluid_multi_flow",
     "FLUID_BACKEND",
@@ -161,43 +159,6 @@ def execute_fluid_run(spec: RunSpec):
             backend=FLUID_BACKEND,
         )
     return result
-
-
-def run_single_flow_fluid(
-    cc: str = "reno",
-    config: PathConfig | None = None,
-    duration: float = 25.0,
-    seed: int = 1,
-    total_bytes: int | None = None,
-    cc_kwargs: dict | None = None,
-    rss_config: RestrictedSlowStartConfig | None = None,
-    local_congestion_policy: LocalCongestionPolicy | None = None,
-    trace_interval: float | None = None,
-    run_past_duration_until_complete: bool = False,
-):
-    """Fluid-model equivalent of :func:`repro.experiments.runner.run_single_flow`.
-
-    .. deprecated::
-        Thin wrapper over ``execute(RunSpec(..., backend="fluid"))``.
-
-    ``trace_interval=None`` (the default) samples once per round trip — the
-    model's native resolution; an explicit value triggers a ``UserWarning``
-    because the fluid series cannot honour it.
-    """
-    spec = RunSpec(
-        cc=cc,
-        config=config if config is not None else PathConfig(),
-        duration=duration,
-        seed=seed,
-        total_bytes=total_bytes,
-        cc_kwargs=dict(cc_kwargs) if cc_kwargs else {},
-        rss_config=rss_config,
-        local_congestion_policy=local_congestion_policy,
-        trace_interval=trace_interval,
-        run_past_duration_until_complete=run_past_duration_until_complete,
-        backend=FLUID_BACKEND,
-    )
-    return execute(spec)
 
 
 def _multiflow_rule(flow, cfg: PathConfig):

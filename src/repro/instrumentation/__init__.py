@@ -1,7 +1,5 @@
 """Web100-style instrumentation and tracing utilities."""
 
-from .counters import CounterSet
-from .stats import SummaryStats, cumulative_events, interval_throughput, summarize
 from .tracer import TimeSeries, TimeSeriesTracer
 from .web100 import Web100Stats
 
@@ -9,9 +7,4 @@ __all__ = [
     "Web100Stats",
     "TimeSeries",
     "TimeSeriesTracer",
-    "CounterSet",
-    "SummaryStats",
-    "summarize",
-    "interval_throughput",
-    "cumulative_events",
 ]

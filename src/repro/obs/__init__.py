@@ -24,6 +24,7 @@ from .telemetry import (
 from .trace import (
     TRACE_CATEGORIES,
     TraceBus,
+    TraceRecord,
     active_trace_bus,
     read_jsonl,
     trace_session,
@@ -42,6 +43,7 @@ __all__ = [
     "memory_tracking_enabled",
     "TRACE_CATEGORIES",
     "TraceBus",
+    "TraceRecord",
     "trace_session",
     "active_trace_bus",
     "write_jsonl",

@@ -1,18 +1,17 @@
 """Engine-wide structured trace bus.
 
-:class:`repro.sim.tracing.TraceRecorder` started life as a test aid: a
-per-simulator list of ``(time, category, message, fields)`` records.  This
-module promotes it to a run-wide *bus* that every execution path — the
-packet engine, both fluid engines, queues/AQM, and the TCP stack — can
-emit onto, with:
+A :class:`TraceBus` collects ``(time, category, message, fields)``
+records (:class:`TraceRecord`) emitted by every execution path — the
+packet engine, both fluid engines, queues/AQM, and the TCP stack — with:
 
 * **typed categories** — :data:`TRACE_CATEGORIES` names every category an
   engine emits together with a one-line contract (the README table is
   generated from the same source of truth);
-* **bounded memory** — the in-memory buffer holds at most
-  ``buffer_limit`` records; with a ``spill_path`` the buffer is appended
-  to a JSONL file and cleared whenever it fills, so multi-million-event
-  runs trace in O(buffer) memory;
+* **bounded memory** — without a spill file, ``max_records`` caps the
+  buffer and sets :attr:`TraceBus.overflowed`; with a ``spill_path`` the
+  buffer is appended to a JSONL file and cleared whenever it holds
+  ``buffer_limit`` records, so multi-million-event runs trace in
+  O(buffer) memory;
 * **a process-wide session** — :func:`trace_session` installs a bus that
   :class:`repro.sim.Simulator` and the fluid engines pick up without any
   signature changes (:func:`active_trace_bus`), which is how
@@ -20,9 +19,12 @@ emit onto, with:
 
 The zero-cost-when-off contract: components either hold ``trace = None``
 and guard emits with one ``is not None`` check (queues), or call
-``sim.trace.record(...)`` where the disabled recorder returns after a
-single ``enabled`` check.  ``benchmarks/bench_telemetry_overhead.py``
-gates this in CI.
+``sim.trace.record(...)`` where a disabled bus (``TraceBus(enabled=False)``,
+every bare simulator's default) returns after a single ``enabled`` check.
+``benchmarks/bench_telemetry_overhead.py`` gates this in CI.
+
+This module imports only the standard library, so the simulator core can
+import it at module level.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from __future__ import annotations
 import contextlib
 import json
 import pathlib
+from dataclasses import dataclass, field
 from typing import IO, Any, Iterable, Iterator
-
-from ..sim.tracing import TraceRecord, TraceRecorder
 
 __all__ = [
     "TRACE_CATEGORIES",
+    "TraceRecord",
     "TraceBus",
     "trace_session",
     "active_trace_bus",
@@ -61,18 +63,41 @@ TRACE_CATEGORIES: dict[str, str] = {
 _DEFAULT_BUFFER_LIMIT = 65536
 
 
-class TraceBus(TraceRecorder):
-    """A :class:`TraceRecorder` with bounded memory and JSONL spill.
+@dataclass(frozen=True)
+class TraceRecord:
+    """A single trace record."""
+
+    time: float
+    category: str
+    message: str
+    fields: dict[str, Any] = field(default_factory=dict)
+
+    def as_dict(self) -> dict[str, Any]:
+        """Flatten the record into a plain dictionary."""
+        out = {"time": self.time, "category": self.category, "message": self.message}
+        out.update(self.fields)
+        return out
+
+
+class TraceBus:
+    """Collects :class:`TraceRecord` objects, with bounded memory and JSONL spill.
 
     Parameters
     ----------
+    enabled:
+        When ``False`` :meth:`record` is a no-op, keeping the hot path
+        cheap (the default bus of a bare simulator is disabled).
     categories:
-        Optional whitelist of category names (see :data:`TRACE_CATEGORIES`).
+        Optional whitelist of category names (see :data:`TRACE_CATEGORIES`);
+        when given, only those categories are stored.
+    max_records:
+        Optional cap on the in-memory buffer when there is no
+        ``spill_path``; once reached, further records are dropped and
+        :attr:`overflowed` is set.
     spill_path:
         When given, the in-memory buffer is appended to this JSONL file and
         cleared every time it reaches ``buffer_limit`` records (and on
-        :meth:`close`), keeping memory bounded on long runs.  Without it the
-        bus behaves like a plain recorder honouring ``max_records``.
+        :meth:`close`), keeping memory bounded on long runs.
     buffer_limit:
         In-memory buffer size before a spill (default 65536 records).
     """
@@ -85,8 +110,12 @@ class TraceBus(TraceRecorder):
         spill_path: str | pathlib.Path | None = None,
         buffer_limit: int = _DEFAULT_BUFFER_LIMIT,
     ) -> None:
-        super().__init__(enabled=enabled, categories=categories,
-                         max_records=max_records)
+        self.enabled = enabled
+        self.categories = set(categories) if categories is not None else None
+        self.max_records = max_records
+        self.records: list[TraceRecord] = []
+        self.overflowed = False
+        self._clock: Any = None
         self.spill_path = pathlib.Path(spill_path) if spill_path is not None else None
         self.buffer_limit = max(1, int(buffer_limit))
         self.total_records = 0
@@ -95,6 +124,10 @@ class TraceBus(TraceRecorder):
         self._sink: IO[str] | None = None
 
     # ------------------------------------------------------------------
+    def bind_clock(self, sim: Any) -> None:
+        """Attach a simulator so :meth:`record` can omit the time argument."""
+        self._clock = sim
+
     def record(
         self,
         category: str,
@@ -102,6 +135,7 @@ class TraceBus(TraceRecorder):
         time: float | None = None,
         **fields: Any,
     ) -> None:
+        """Store a record (no-op when disabled or filtered out)."""
         if not self.enabled:
             return
         if self.categories is not None and category not in self.categories:
@@ -117,6 +151,30 @@ class TraceBus(TraceRecorder):
         self.category_counts[category] = self.category_counts.get(category, 0) + 1
         if self.spill_path is not None and len(self.records) >= self.buffer_limit:
             self.spill()
+
+    # ------------------------------------------------------------------
+    def filter(self, category: str) -> list[TraceRecord]:
+        """Return all buffered records of one category."""
+        return [r for r in self.records if r.category == category]
+
+    def categories_seen(self) -> set[str]:
+        """Distinct categories among the buffered records."""
+        return {r.category for r in self.records}
+
+    def clear(self) -> None:
+        """Drop all buffered records."""
+        self.records.clear()
+        self.overflowed = False
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return iter(self.records)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "on" if self.enabled else "off"
+        return f"<TraceBus {state} records={len(self.records)}>"
 
     # ------------------------------------------------------------------
     def spill(self) -> int:

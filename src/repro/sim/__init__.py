@@ -7,14 +7,14 @@ Public surface:
 * :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.EventPriority`
 * :class:`~repro.sim.timers.Timer` / :class:`~repro.sim.timers.PeriodicTask`
 * :class:`~repro.sim.randomness.RandomStreams`
-* :class:`~repro.sim.tracing.TraceRecorder`
+
+Tracing lives in :mod:`repro.obs.trace` (:class:`~repro.obs.trace.TraceBus`).
 """
 
 from .engine import Simulator
 from .events import Event, EventPriority
 from .randomness import RandomStreams, derive_seed
 from .timers import PeriodicTask, Timer
-from .tracing import TraceRecord, TraceRecorder
 
 __all__ = [
     "Simulator",
@@ -24,6 +24,4 @@ __all__ = [
     "PeriodicTask",
     "RandomStreams",
     "derive_seed",
-    "TraceRecord",
-    "TraceRecorder",
 ]

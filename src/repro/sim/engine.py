@@ -39,9 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
 from ..errors import ScheduleInPastError, SimulationError
+from ..obs.trace import TraceBus, active_trace_bus
 from .events import Event, EventPriority
 from .randomness import RandomStreams
-from .tracing import TraceRecorder
 
 __all__ = ["Simulator"]
 
@@ -68,15 +68,17 @@ class Simulator:
         Master seed for the simulation's named random streams
         (see :class:`repro.sim.randomness.RandomStreams`).
     trace:
-        Optional :class:`~repro.sim.tracing.TraceRecorder`.  When omitted,
-        the ambient bus installed by
-        :func:`repro.obs.trace.trace_session` is adopted if one is active
-        (that is how ``repro run --trace`` reaches simulators built deep
-        inside a backend); otherwise a disabled recorder is created so
-        components can call ``sim.trace.record(...)`` unconditionally.
+        Optional :class:`~repro.obs.trace.TraceBus`.  When omitted, the
+        ambient bus installed by :func:`repro.obs.trace.trace_session` is
+        adopted if one is active (that is how ``repro run --trace`` reaches
+        simulators built deep inside a backend); otherwise a disabled bus
+        is created so components can call ``sim.trace.record(...)``
+        unconditionally.  A given or adopted bus is bound to this
+        simulator's clock, so records emitted without a time are stamped
+        with the current simulation time.
     """
 
-    def __init__(self, seed: int = 1, trace: TraceRecorder | None = None) -> None:
+    def __init__(self, seed: int = 1, trace: TraceBus | None = None) -> None:
         self._now: float = 0.0
         self._heap: list[_Entry] = []
         self._seq: int = 0
@@ -87,14 +89,10 @@ class Simulator:
         self.events_cancelled: int = 0
         self.streams = RandomStreams(seed)
         if trace is None:
-            # Imported lazily: repro.obs.trace builds on sim.tracing, so a
-            # module-level import here would be circular.
-            from ..obs.trace import active_trace_bus
-
             trace = active_trace_bus()
-            if trace is not None:
-                trace.bind_clock(self)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
+        if trace is not None:
+            trace.bind_clock(self)
+        self.trace = trace if trace is not None else TraceBus(enabled=False)
 
     # ------------------------------------------------------------------
     # time

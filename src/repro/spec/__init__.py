@@ -10,8 +10,8 @@ Quickstart::
     clone = repro.spec.spec_from_json(text)
     assert clone == spec and clone.cache_key() == spec.cache_key()
 
-See the README's "Spec API" section for the JSON schema, the migration
-table from the legacy keyword signatures, and the deprecation policy.
+See the README's "Spec API" section for the JSON schema and the map from
+each removed keyword function to its spec.
 """
 
 from .backends import (

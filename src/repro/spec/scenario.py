@@ -828,7 +828,7 @@ def red_bottleneck(config: PathConfig | None = None, n_flows: int = 1, *,
 
 def from_bulk_flows(specs: Sequence, config: PathConfig | None = None,
                     shared_paths: bool = False) -> ScenarioSpec:
-    """The scenario equivalent of the legacy ``run_multi_flow`` arguments.
+    """A dumbbell scenario from a list of bulk flows.
 
     ``specs`` are :class:`~repro.workloads.bulk.BulkFlowSpec` objects;
     ``shared_paths=True`` maps every flow onto one sender/receiver pair

@@ -414,25 +414,6 @@ class RunSpec(SpecBase):
 
     # -- serialization ---------------------------------------------------
     @classmethod
-    def from_kwargs(cls, **kwargs: object) -> "RunSpec":
-        """Build a spec from the legacy ``run_single_flow`` keywords.
-
-        ``None`` for ``config``/``cc_kwargs`` means "use the default"
-        (matching the old signatures); unknown keywords raise
-        :class:`ExperimentError` naming the valid fields.
-        """
-        for key in ("config", "cc_kwargs"):
-            if kwargs.get(key) is None:
-                kwargs.pop(key, None)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(kwargs) - known)
-        if unknown:
-            raise ExperimentError(
-                f"unknown run keyword(s) {unknown}; valid keywords are the "
-                f"RunSpec fields: {sorted(known)}")
-        return cls(**kwargs)
-
-    @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
         data = _checked(cls, data)
         return cls(

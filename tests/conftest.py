@@ -41,9 +41,3 @@ def small_rss_config(small_path) -> RestrictedSlowStartConfig:
     """Restricted slow-start configuration tuned for the scaled-down path."""
     return RestrictedSlowStartConfig.for_path(small_path.rtt)
 
-
-def run_small_flow(cc="reno", duration=3.0, seed=1, config=SMALL_PATH, **kwargs):
-    """Convenience wrapper used across integration tests."""
-    from repro.experiments import run_single_flow
-
-    return run_single_flow(cc=cc, config=config, duration=duration, seed=seed, **kwargs)

@@ -17,20 +17,45 @@ from repro.experiments import (
     render_tuning_ablation,
     run_baseline_comparison,
     run_fairness,
-    run_figure1,
-    run_throughput_comparison,
     run_tuning_ablation,
 )
-from repro.experiments.sweeps import ifq_size_sweep, setpoint_sweep
+from repro.experiments.figure1 import figure1_from_comparison, figure1_spec
+from repro.experiments.sweeps import ifq_sweep_spec, setpoint_sweep_spec
+from repro.experiments.throughput import throughput_from_comparison, throughput_spec
 from repro.errors import ExperimentError
+from repro.spec import execute
 
 from repro.testing import SMALL_PATH
+
+#: E7 rows (rule, goodput_bps, utilization, ifq_tail_mean) for
+#: ``run_tuning_ablation(duration=2.0, config=SMALL_PATH, seed=2)``.
+E7_PINNED_ROWS = [
+    ("allcock_modified", 15899040.0, 0.794952, 18.65),
+    ("zn_classic_pid", 16345024.0, 0.8172512, 18.65),
+    ("zn_classic_pi", 16692544.0, 0.8346272, 18.65),
+    ("tyreus_luyben", 16356608.0, 0.8178304, 19.05),
+    ("no_overshoot", 16084384.0, 0.8042192, 19.0),
+    ("relay_tuned+allcock_modified", 16049632.0, 0.8024816, 19.0),
+]
+
+#: E8 rows (algorithm, goodput_bps, utilization, send_stalls,
+#: max_cwnd_segments) for ``run_baseline_comparison(duration=2.0,
+#: config=SMALL_PATH, seed=2)``.
+E8_PINNED_ROWS = [
+    ("reno", 10344512.0, 0.5172256, 1, 63.40400552486188),
+    ("newreno", 10344512.0, 0.5172256, 1, 63.40400552486188),
+    ("limited_slow_start", 10344512.0, 0.5172256, 1, 63.40400552486188),
+    ("hystart", 10344512.0, 0.5172256, 1, 63.40400552486188),
+    ("cubic", 10553024.0, 0.5276512, 1, 54.9585635359116),
+    ("restricted", 15974336.0, 0.7987168, 0, 89.18577348066299),
+]
 
 
 class TestFigure1:
     def test_shape_of_figure1(self):
-        result = run_figure1(duration=3.0, config=SMALL_PATH, seed=2,
-                             sample_interval=0.5)
+        result = figure1_from_comparison(
+            execute(figure1_spec(duration=3.0, config=SMALL_PATH, seed=2)),
+            sample_interval=0.5)
         assert result.shape_holds()
         assert result.standard_total >= 1
         assert result.proposed_total == 0
@@ -40,7 +65,8 @@ class TestFigure1:
         assert result.proposed_cumulative_stalls[-1] == result.proposed_total
 
     def test_render_mentions_both_algorithms(self):
-        result = run_figure1(duration=2.0, config=SMALL_PATH, seed=2)
+        result = figure1_from_comparison(
+            execute(figure1_spec(duration=2.0, config=SMALL_PATH, seed=2)))
         text = render_figure1(result)
         assert "standard" in text.lower()
         assert "restricted" in text.lower() or "proposed" in text.lower()
@@ -48,12 +74,12 @@ class TestFigure1:
 
 class TestThroughput:
     def test_restricted_wins(self, fast_kwargs):
-        result = run_throughput_comparison(**fast_kwargs)
+        result = throughput_from_comparison(execute(throughput_spec(**fast_kwargs)))
         assert result.shape_holds()
         assert result.improvement_percent > 10.0
 
     def test_render_reports_improvement(self, fast_kwargs):
-        result = run_throughput_comparison(**fast_kwargs)
+        result = throughput_from_comparison(execute(throughput_spec(**fast_kwargs)))
         text = render_throughput(result)
         assert "improvement" in text
         assert "40%" in text or "40" in text
@@ -61,8 +87,8 @@ class TestThroughput:
 
 class TestSweeps:
     def test_ifq_sweep_rows(self):
-        result = ifq_size_sweep(sizes=(10, 60), duration=2.0, seed=2,
-                                base_config=SMALL_PATH, max_workers=1)
+        result = execute(ifq_sweep_spec(sizes=(10, 60), duration=2.0, seed=2,
+                                        base_config=SMALL_PATH), max_workers=1)
         assert len(result.rows) == 2
         small = result.row_for(10)
         large = result.row_for(60)
@@ -72,8 +98,8 @@ class TestSweeps:
         assert "ifq_capacity_packets" in render_sweep(result)
 
     def test_setpoint_sweep_rows(self):
-        result = setpoint_sweep(setpoints=(0.5, 0.9), duration=2.0, seed=2,
-                                base_config=SMALL_PATH, max_workers=1)
+        result = execute(setpoint_sweep_spec(setpoints=(0.5, 0.9), duration=2.0, seed=2,
+                                             base_config=SMALL_PATH), max_workers=1)
         assert len(result.rows) == 2
         low = result.row_for(0.5)
         high = result.row_for(0.9)
@@ -81,14 +107,14 @@ class TestSweeps:
         assert high["restricted_send_stalls"] == 0
 
     def test_row_for_unknown_value(self):
-        result = setpoint_sweep(setpoints=(0.9,), duration=1.0, seed=2,
-                                base_config=SMALL_PATH, max_workers=1)
+        result = execute(setpoint_sweep_spec(setpoints=(0.9,), duration=1.0, seed=2,
+                                             base_config=SMALL_PATH), max_workers=1)
         with pytest.raises(ExperimentError):
             result.row_for(0.1)
 
     def test_column_accessor(self):
-        result = setpoint_sweep(setpoints=(0.8, 0.9), duration=1.0, seed=2,
-                                base_config=SMALL_PATH, max_workers=1)
+        result = execute(setpoint_sweep_spec(setpoints=(0.8, 0.9), duration=1.0, seed=2,
+                                             base_config=SMALL_PATH), max_workers=1)
         assert len(result.column("restricted_goodput_bps")) == 2
 
 
@@ -103,6 +129,17 @@ class TestTuningAblation:
         assert any(label.startswith("relay_tuned") for label in labels)
         assert result.best_rule() in labels
         assert "tuning" in render_tuning_ablation(result).lower()
+
+    def test_rows_pinned(self):
+        # exact row values of the default rule set on the small path; any
+        # change to how E7 builds or runs its specs shows up here
+        result = run_tuning_ablation(duration=2.0, config=SMALL_PATH, seed=2,
+                                     max_workers=0)
+        assert result.rows == [
+            dict(rule=rule, goodput_bps=goodput, send_stalls=0,
+                 utilization=utilization, ifq_peak=20, ifq_tail_mean=tail,
+                 setpoint_packets=18.0)
+            for rule, goodput, utilization, tail in E7_PINNED_ROWS]
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ExperimentError):
@@ -119,6 +156,16 @@ class TestBaselines:
         ranking = result.ranking()
         assert ranking[0] == "restricted"
         assert "ranking" in render_baselines(result)
+
+    def test_rows_pinned(self):
+        # exact row values of the default algorithm set on the small path
+        result = run_baseline_comparison(duration=2.0, config=SMALL_PATH, seed=2,
+                                         max_workers=0)
+        assert result.rows == [
+            dict(algorithm=algorithm, goodput_bps=goodput, utilization=utilization,
+                 send_stalls=stalls, congestion_signals=0, retrans=0,
+                 max_cwnd_segments=max_cwnd)
+            for algorithm, goodput, utilization, stalls, max_cwnd in E8_PINNED_ROWS]
 
     def test_row_for_unknown(self):
         result = run_baseline_comparison(algorithms=("reno",), duration=1.0,

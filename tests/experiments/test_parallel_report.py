@@ -10,14 +10,11 @@ from repro.experiments import (
     comparison_table,
     cumulative_stall_series,
     default_worker_count,
-    map_runs,
+    map_specs,
     multi_flow_table,
     render_series,
-    run_comparison,
-    run_multi_flow,
-    run_single_flow,
-    run_single_flow_batch,
 )
+from repro.spec import ComparisonSpec, MultiFlowSpec, RunSpec, execute, from_bulk_flows
 from repro.workloads import BulkFlowSpec
 
 from repro.testing import SMALL_PATH
@@ -25,36 +22,40 @@ from repro.testing import SMALL_PATH
 
 class TestMapRuns:
     def test_serial_execution(self):
-        results = map_runs(lambda x, y: x + y,
-                           [dict(x=1, y=2), dict(x=3, y=4)], max_workers=1)
-        assert results == [3, 7]
+        specs = [RunSpec(cc=cc, config=SMALL_PATH, duration=0.5, backend="fluid")
+                 for cc in ("reno", "restricted")]
+        results = map_specs(specs, max_workers=1)
+        assert [r.flow.algorithm for r in results] == ["reno", "restricted"]
+        assert [r.spec for r in results] == specs
 
     def test_empty_rejected(self):
         with pytest.raises(ExperimentError):
-            map_runs(lambda: None, [], max_workers=1)
+            map_specs([], max_workers=1)
 
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1
 
     def test_parallel_single_flow_batch(self):
         # two very short runs across two worker processes
-        kwargs = [dict(cc="reno", config=SMALL_PATH, duration=0.8, seed=s)
-                  for s in (1, 2)]
-        results = run_single_flow_batch(kwargs, max_workers=2)
+        specs = [RunSpec(cc="reno", config=SMALL_PATH, duration=0.8, seed=s)
+                 for s in (1, 2)]
+        results = map_specs(specs, max_workers=2)
         assert len(results) == 2
         assert all(r.flow.bytes_acked > 0 for r in results)
 
     def test_parallel_matches_serial(self):
-        kwargs = [dict(cc="reno", config=SMALL_PATH, duration=0.8, seed=7)]
-        serial = run_single_flow_batch(kwargs, max_workers=1)[0]
-        parallel = run_single_flow_batch(kwargs, max_workers=2)[0]
+        specs = [RunSpec(cc="reno", config=SMALL_PATH, duration=0.8, seed=7),
+                 RunSpec(cc="reno", config=SMALL_PATH, duration=0.8, seed=8)]
+        serial = map_specs(specs, max_workers=1)[0]
+        parallel = map_specs(specs, max_workers=2)[0]
         assert serial.flow.bytes_acked == parallel.flow.bytes_acked
 
 
 class TestReportRendering:
     def test_comparison_table(self):
-        comparison = run_comparison(("reno", "restricted"), config=SMALL_PATH,
-                                    duration=2.0, seed=2)
+        comparison = execute(ComparisonSpec(
+            base=RunSpec(config=SMALL_PATH, duration=2.0, seed=2),
+            algorithms=("reno", "restricted")))
         table = comparison_table(comparison, title="headline")
         text = table.render()
         assert "reno" in text and "restricted" in text
@@ -62,16 +63,16 @@ class TestReportRendering:
         assert "%" in text
 
     def test_multi_flow_table(self):
-        with pytest.deprecated_call():
-            result = run_multi_flow(
-                [BulkFlowSpec(cc="reno"), BulkFlowSpec(cc="reno")],
-                config=SMALL_PATH, duration=2.0)
+        result = execute(MultiFlowSpec(
+            scenario=from_bulk_flows([BulkFlowSpec(cc="reno"), BulkFlowSpec(cc="reno")],
+                                     config=SMALL_PATH),
+            duration=2.0))
         text = multi_flow_table(result).render()
         assert "aggregate" in text
         assert "jain" in text.lower()
 
     def test_cumulative_stall_series(self):
-        run = run_single_flow("reno", config=SMALL_PATH, duration=2.0, seed=2)
+        run = execute(RunSpec(cc="reno", config=SMALL_PATH, duration=2.0, seed=2))
         times, series = cumulative_stall_series(run, sample_interval=0.5)
         assert len(times) == len(series)
         assert series[-1] == run.flow.send_stalls
@@ -98,9 +99,6 @@ class TestMaxWorkersEnv:
         monkeypatch.setenv("REPRO_MAX_WORKERS", "0")
         assert default_worker_count() == 0
         # map_specs treats <= 1 as serial in-process execution
-        from repro.spec import RunSpec
-        from repro.experiments import map_specs
-
         results = map_specs([RunSpec(config=SMALL_PATH, duration=0.5,
                                      backend="fluid")])
         assert results[0].flow.bytes_acked > 0

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import run_single_flow
 from repro.experiments.results_io import (
     SCHEMA_VERSION,
     load_result,
     save_result,
     to_jsonable,
 )
-from repro.experiments.sweeps import setpoint_sweep
+from repro.experiments.sweeps import setpoint_sweep_spec
+from repro.spec import RunSpec, execute
 
 from repro.testing import SMALL_PATH
 
@@ -41,7 +41,7 @@ class TestToJsonable:
 
 class TestSaveLoadRoundtrip:
     def test_single_flow_roundtrip(self, tmp_path):
-        result = run_single_flow("reno", config=SMALL_PATH, duration=1.0, seed=1)
+        result = execute(RunSpec(cc="reno", config=SMALL_PATH, duration=1.0, seed=1))
         path = save_result(result, tmp_path / "run.json")
         assert path.exists()
         loaded = load_result(path)
@@ -51,15 +51,15 @@ class TestSaveLoadRoundtrip:
         assert loaded["payload"]["flow"]["bytes_acked"] == result.flow.bytes_acked
 
     def test_sweep_roundtrip(self, tmp_path):
-        sweep = setpoint_sweep(setpoints=(0.9,), duration=1.0, seed=1,
-                               base_config=SMALL_PATH, max_workers=1)
+        sweep = execute(setpoint_sweep_spec(setpoints=(0.9,), duration=1.0, seed=1,
+                                            base_config=SMALL_PATH), max_workers=1)
         path = save_result(sweep, tmp_path / "sweep.json")
         loaded = load_result(path)
         assert loaded["kind"] == "sweep"
         assert loaded["payload"]["rows"][0]["setpoint_fraction"] == 0.9
 
     def test_file_is_valid_json(self, tmp_path):
-        result = run_single_flow("reno", config=SMALL_PATH, duration=0.5, seed=1)
+        result = execute(RunSpec(cc="reno", config=SMALL_PATH, duration=0.5, seed=1))
         path = save_result(result, tmp_path / "r.json")
         json.loads(path.read_text())
 

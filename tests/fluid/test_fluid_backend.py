@@ -6,25 +6,20 @@ import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import (
-    SingleFlowResult,
-    get_experiment,
-    run_comparison,
-    run_figure1,
-    run_single_flow,
-    run_throughput_comparison,
-    single_flow_summary,
-)
+from repro.experiments import SingleFlowResult, get_experiment, single_flow_summary
+from repro.experiments.figure1 import figure1_from_comparison, figure1_spec
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.results_io import load_result, save_result
-from repro.experiments.sweeps import ifq_size_sweep, render_sweep
+from repro.experiments.sweeps import ifq_sweep_spec, render_sweep
+from repro.experiments.throughput import throughput_from_comparison, throughput_spec
+from repro.spec import ComparisonSpec, RunSpec, execute
 from repro.testing import SMALL_PATH
 
 
 class TestBackendDispatch:
     def test_fluid_returns_single_flow_result(self):
-        result = run_single_flow("reno", config=SMALL_PATH, duration=2.0,
-                                 backend="fluid")
+        result = execute(RunSpec(cc="reno", config=SMALL_PATH, duration=2.0,
+                                 backend="fluid"))
         assert isinstance(result, SingleFlowResult)
         assert result.backend == "fluid"
         assert result.flow.algorithm == "reno"
@@ -34,42 +29,45 @@ class TestBackendDispatch:
         assert result.events_processed > 0
 
     def test_packet_results_are_marked(self):
-        result = run_single_flow("reno", config=SMALL_PATH, duration=1.0)
+        result = execute(RunSpec(cc="reno", config=SMALL_PATH, duration=1.0))
         assert result.backend == "packet"
 
     def test_summary_covers_fluid_result(self):
-        result = run_single_flow("restricted", config=SMALL_PATH, duration=2.0,
-                                 backend="fluid")
+        result = execute(RunSpec(cc="restricted", config=SMALL_PATH, duration=2.0,
+                                 backend="fluid"))
         summary = single_flow_summary(result)
         assert summary["algorithm"] == "restricted"
         assert summary["goodput_mbps"] > 0
 
     def test_comparison_threads_backend(self):
-        comparison = run_comparison(("reno", "restricted"), config=SMALL_PATH,
-                                    duration=2.0, seed=2, backend="fluid")
+        comparison = execute(ComparisonSpec(
+            base=RunSpec(config=SMALL_PATH, duration=2.0, seed=2, backend="fluid"),
+            algorithms=("reno", "restricted")))
         assert comparison.runs["reno"].backend == "fluid"
         assert comparison.improvement_percent("restricted") > 0
 
 
 class TestExperimentsOnFluid:
     def test_figure1_shape_holds_on_fluid(self):
-        result = run_figure1(duration=3.0, config=SMALL_PATH, seed=2,
-                             sample_interval=0.5, backend="fluid")
+        result = figure1_from_comparison(
+            execute(figure1_spec(duration=3.0, config=SMALL_PATH, seed=2,
+                                 backend="fluid")),
+            sample_interval=0.5)
         assert result.shape_holds()
         assert result.standard_total >= 1
         assert result.proposed_total == 0
         assert (np.diff(result.standard_cumulative_stalls) >= 0).all()
 
     def test_throughput_improvement_on_fluid(self):
-        result = run_throughput_comparison(config=SMALL_PATH, duration=3.0,
-                                           seed=2, backend="fluid")
+        result = throughput_from_comparison(execute(
+            throughput_spec(config=SMALL_PATH, duration=3.0, seed=2, backend="fluid")))
         assert result.shape_holds()
         assert result.improvement_percent > 10.0
 
     def test_ifq_sweep_on_fluid(self):
-        result = ifq_size_sweep(sizes=(10, 60), duration=2.0, seed=2,
-                                base_config=SMALL_PATH, max_workers=1,
-                                backend="fluid")
+        result = execute(ifq_sweep_spec(sizes=(10, 60), duration=2.0, seed=2,
+                                        base_config=SMALL_PATH, backend="fluid"),
+                         max_workers=1)
         assert len(result.rows) == 2
         small, large = result.row_for(10), result.row_for(60)
         assert small["reno_send_stalls"] >= large["reno_send_stalls"]
@@ -106,8 +104,8 @@ class TestRegistryVariants:
 
 class TestSerialisation:
     def test_fluid_result_round_trips_to_json(self, tmp_path):
-        result = run_single_flow("restricted", config=SMALL_PATH, duration=2.0,
-                                 backend="fluid")
+        result = execute(RunSpec(cc="restricted", config=SMALL_PATH, duration=2.0,
+                                 backend="fluid"))
         path = save_result(result, tmp_path / "fluid.json")
         document = load_result(path)
         assert document["kind"] == "single_flow"
@@ -118,8 +116,8 @@ class TestSerialisation:
 
     def test_unknown_backend_raises_before_running(self):
         with pytest.raises(ExperimentError, match="backend"):
-            run_single_flow("reno", config=SMALL_PATH, duration=1.0,
-                            backend="psychic")
+            execute(RunSpec(cc="reno", config=SMALL_PATH, duration=1.0,
+                            backend="psychic"))
 
 
 class TestDelayedStart:

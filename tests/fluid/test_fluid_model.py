@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
-from repro.experiments import run_single_flow
 from repro.fluid import (
     DEFAULT_TOLERANCE,
     FluidFlowModel,
@@ -27,6 +26,7 @@ from repro.fluid import (
     default_grid,
     fluid_growth_rule,
 )
+from repro.spec import RunSpec, execute
 from repro.testing import SMALL_PATH
 from repro.units import Mbps
 
@@ -73,10 +73,10 @@ class TestGoldenTolerance:
 
 class TestQualitativeShape:
     def test_reno_stalls_and_restricted_does_not(self):
-        reno = run_single_flow("reno", config=SMALL_PATH, duration=3.0,
-                               seed=2, backend="fluid")
-        restricted = run_single_flow("restricted", config=SMALL_PATH, duration=3.0,
-                                     seed=2, backend="fluid")
+        reno = execute(RunSpec(cc="reno", config=SMALL_PATH, duration=3.0,
+                               seed=2, backend="fluid"))
+        restricted = execute(RunSpec(cc="restricted", config=SMALL_PATH, duration=3.0,
+                                     seed=2, backend="fluid"))
         assert reno.flow.send_stalls >= 1
         assert restricted.flow.send_stalls == 0
         assert restricted.goodput_bps > reno.goodput_bps
@@ -84,17 +84,17 @@ class TestQualitativeShape:
     def test_large_ifq_removes_reno_stalls(self):
         cfg = SMALL_PATH.replace(ifq_capacity_packets=400,
                                  router_buffer_packets=600)
-        result = run_single_flow("reno", config=cfg, duration=3.0, backend="fluid")
+        result = execute(RunSpec(cc="reno", config=cfg, duration=3.0, backend="fluid"))
         assert result.flow.send_stalls == 0
 
     def test_goodput_bounded_by_link_rate(self):
-        result = run_single_flow("restricted", config=SMALL_PATH, duration=3.0,
-                                 backend="fluid")
+        result = execute(RunSpec(cc="restricted", config=SMALL_PATH, duration=3.0,
+                                 backend="fluid"))
         assert result.goodput_bps <= SMALL_PATH.bottleneck_rate_bps
 
     def test_restricted_holds_ifq_near_setpoint(self):
-        result = run_single_flow("restricted", config=SMALL_PATH, duration=5.0,
-                                 backend="fluid")
+        result = execute(RunSpec(cc="restricted", config=SMALL_PATH, duration=5.0,
+                                 backend="fluid"))
         cap = SMALL_PATH.ifq_capacity_packets
         assert result.ifq_peak <= cap
         # the regulated queue settles near 90% of the capacity
@@ -104,33 +104,33 @@ class TestQualitativeShape:
         # RFC 3742 caps the per-round growth at max_ssthresh/2, so the
         # throttled flow reaches the IFQ limit (its first stall) later than
         # plain exponential slow-start.
-        plain = run_single_flow("reno", config=SMALL_PATH, duration=3.0,
-                                backend="fluid")
-        limited = run_single_flow("limited_slow_start", config=SMALL_PATH,
+        plain = execute(RunSpec(cc="reno", config=SMALL_PATH, duration=3.0,
+                                backend="fluid"))
+        limited = execute(RunSpec(cc="limited_slow_start", config=SMALL_PATH,
                                   duration=3.0,
                                   cc_kwargs=dict(max_ssthresh_segments=10.0),
-                                  backend="fluid")
+                                  backend="fluid"))
         assert plain.flow.stall_times, "reno must stall on the small path"
         assert limited.flow.stall_times, "throttled flow still hits the IFQ limit"
         assert limited.flow.stall_times[0] > plain.flow.stall_times[0]
 
     def test_finite_transfer_completes(self):
-        result = run_single_flow("restricted", config=SMALL_PATH, duration=20.0,
-                                 total_bytes=1_000_000, backend="fluid")
+        result = execute(RunSpec(cc="restricted", config=SMALL_PATH, duration=20.0,
+                                 total_bytes=1_000_000, backend="fluid"))
         assert result.flow.completion_time is not None
         assert result.flow.bytes_acked >= 1_000_000
 
     def test_unsupported_algorithm_rejected(self):
         with pytest.raises(ExperimentError):
-            run_single_flow("cubic", config=SMALL_PATH, duration=1.0, backend="fluid")
+            execute(RunSpec(cc="cubic", config=SMALL_PATH, duration=1.0, backend="fluid"))
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ExperimentError):
-            run_single_flow("reno", config=SMALL_PATH, duration=1.0, backend="quantum")
+            execute(RunSpec(cc="reno", config=SMALL_PATH, duration=1.0, backend="quantum"))
 
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ExperimentError):
-            run_single_flow("reno", config=SMALL_PATH, duration=0.0, backend="fluid")
+            execute(RunSpec(cc="reno", config=SMALL_PATH, duration=0.0, backend="fluid"))
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +140,8 @@ class TestQualitativeShape:
 class TestDeterminism:
     @pytest.mark.parametrize("cc", ["reno", "restricted", "limited_slow_start"])
     def test_same_seed_identical_series(self, cc):
-        a = run_single_flow(cc, config=SMALL_PATH, duration=2.0, seed=7, backend="fluid")
-        b = run_single_flow(cc, config=SMALL_PATH, duration=2.0, seed=7, backend="fluid")
+        a = execute(RunSpec(cc=cc, config=SMALL_PATH, duration=2.0, seed=7, backend="fluid"))
+        b = execute(RunSpec(cc=cc, config=SMALL_PATH, duration=2.0, seed=7, backend="fluid"))
         assert a.flow.bytes_acked == b.flow.bytes_acked
         assert a.flow.send_stalls == b.flow.send_stalls
         assert np.array_equal(a.cwnd_segments, b.cwnd_segments)
@@ -152,10 +152,10 @@ class TestDeterminism:
     def test_model_is_arithmetically_deterministic_across_seeds(self):
         # The fluid model consumes no random numbers: the seed is carried
         # through for interface parity only (documented behaviour).
-        a = run_single_flow("reno", config=SMALL_PATH, duration=2.0, seed=1,
-                            backend="fluid")
-        b = run_single_flow("reno", config=SMALL_PATH, duration=2.0, seed=999,
-                            backend="fluid")
+        a = execute(RunSpec(cc="reno", config=SMALL_PATH, duration=2.0, seed=1,
+                            backend="fluid"))
+        b = execute(RunSpec(cc="reno", config=SMALL_PATH, duration=2.0, seed=999,
+                            backend="fluid"))
         assert np.array_equal(a.cwnd_segments, b.cwnd_segments)
         assert a.seed == 1 and b.seed == 999
 
@@ -163,10 +163,10 @@ class TestDeterminism:
     @given(st.floats(min_value=0.5, max_value=4.0),
            st.integers(min_value=0, max_value=2 ** 31))
     def test_rerun_reproducibility_property(self, duration, seed):
-        a = run_single_flow("reno", config=SMALL_PATH, duration=duration,
-                            seed=seed, backend="fluid")
-        b = run_single_flow("reno", config=SMALL_PATH, duration=duration,
-                            seed=seed, backend="fluid")
+        a = execute(RunSpec(cc="reno", config=SMALL_PATH, duration=duration,
+                            seed=seed, backend="fluid"))
+        b = execute(RunSpec(cc="reno", config=SMALL_PATH, duration=duration,
+                            seed=seed, backend="fluid"))
         assert a.flow.bytes_acked == b.flow.bytes_acked
         assert np.array_equal(a.ifq_occupancy, b.ifq_occupancy)
 

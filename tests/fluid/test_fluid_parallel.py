@@ -11,31 +11,30 @@ import pickle
 
 import numpy as np
 
-from repro.experiments import run_single_flow_batch
+from repro.experiments import map_specs
+from repro.spec import RunSpec
 from repro.testing import SMALL_PATH
 
 
-def _batch_kwargs():
+def _batch_specs():
     return [
-        dict(cc="reno", config=SMALL_PATH, duration=1.5, seed=3),
-        dict(cc="restricted", config=SMALL_PATH, duration=1.5, seed=3),
-        dict(cc="reno", config=SMALL_PATH.replace(ifq_capacity_packets=60),
-             duration=1.5, seed=3),
+        RunSpec(cc="reno", config=SMALL_PATH, duration=1.5, seed=3, backend="fluid"),
+        RunSpec(cc="restricted", config=SMALL_PATH, duration=1.5, seed=3,
+                backend="fluid"),
+        RunSpec(cc="reno", config=SMALL_PATH.replace(ifq_capacity_packets=60),
+                duration=1.5, seed=3, backend="fluid"),
     ]
 
 
 class TestFluidBatches:
     def test_serial_batch(self):
-        results = run_single_flow_batch(_batch_kwargs(), max_workers=1,
-                                        backend="fluid")
+        results = map_specs(_batch_specs(), max_workers=1)
         assert [r.flow.algorithm for r in results] == ["reno", "restricted", "reno"]
         assert all(r.backend == "fluid" for r in results)
 
     def test_parallel_batch_matches_serial_and_preserves_order(self):
-        serial = run_single_flow_batch(_batch_kwargs(), max_workers=1,
-                                       backend="fluid")
-        parallel = run_single_flow_batch(_batch_kwargs(), max_workers=2,
-                                         backend="fluid")
+        serial = map_specs(_batch_specs(), max_workers=1)
+        parallel = map_specs(_batch_specs(), max_workers=2)
         assert len(serial) == len(parallel) == 3
         for s, p in zip(serial, parallel):
             assert s.flow.algorithm == p.flow.algorithm
@@ -43,15 +42,8 @@ class TestFluidBatches:
             assert s.flow.bytes_acked == p.flow.bytes_acked
             assert np.array_equal(s.cwnd_segments, p.cwnd_segments)
 
-    def test_explicit_backend_key_wins_over_batch_default(self):
-        kwargs = [dict(cc="reno", config=SMALL_PATH, duration=1.0, seed=1,
-                       backend="packet")]
-        results = run_single_flow_batch(kwargs, max_workers=1, backend="fluid")
-        assert results[0].backend == "packet"
-
     def test_fluid_results_pickle_round_trip(self):
-        result = run_single_flow_batch(_batch_kwargs()[:1], max_workers=1,
-                                       backend="fluid")[0]
+        result = map_specs(_batch_specs()[:1], max_workers=1)[0]
         clone = pickle.loads(pickle.dumps(result))
         assert clone.flow.bytes_acked == result.flow.bytes_acked
         assert clone.backend == "fluid"

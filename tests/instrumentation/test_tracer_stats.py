@@ -1,21 +1,11 @@
-"""Tests for time-series tracers, counters and summary statistics."""
+"""Tests for time series and the periodic time-series tracer."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.instrumentation import (
-    CounterSet,
-    TimeSeries,
-    TimeSeriesTracer,
-    cumulative_events,
-    interval_throughput,
-    summarize,
-)
+from repro.instrumentation import TimeSeries, TimeSeriesTracer
 
 
 class TestTimeSeries:
@@ -88,99 +78,3 @@ class TestTimeSeriesTracer:
     def test_invalid_interval(self, sim):
         with pytest.raises(ConfigurationError):
             TimeSeriesTracer(sim, interval=0.0)
-
-
-class TestCounterSet:
-    def test_incr_and_count(self):
-        c = CounterSet()
-        c.incr("drops")
-        c.incr("drops", 2)
-        assert c.count("drops") == 3
-        assert c.count("missing") == 0
-
-    def test_gauges(self):
-        c = CounterSet()
-        c.set_gauge("qlen", 5)
-        c.set_gauge("qlen", 7)
-        assert c.gauge("qlen") == 7
-        assert c.gauge("other", default=-1) == -1
-
-    def test_merge_sums_counters(self):
-        a, b = CounterSet(), CounterSet()
-        a.incr("x", 1)
-        b.incr("x", 2)
-        b.incr("y", 5)
-        merged = a.merge(b)
-        assert merged.count("x") == 3
-        assert merged.count("y") == 5
-
-    def test_contains_and_as_dict(self):
-        c = CounterSet()
-        c.incr("x")
-        c.set_gauge("g", 1.0)
-        assert "x" in c and "g" in c and "zzz" not in c
-        assert c.as_dict() == {"x": 1.0, "g": 1.0}
-
-
-class TestSummarize:
-    def test_empty_input(self):
-        s = summarize([])
-        assert s.count == 0
-        assert s.mean == 0.0
-
-    def test_basic_statistics(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-        assert s.p50 == pytest.approx(2.5)
-
-    def test_as_dict(self):
-        assert set(summarize([1.0]).as_dict()) == {
-            "count", "mean", "std", "min", "p50", "p95", "max"}
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=100))
-    def test_bounds_property(self, samples):
-        s = summarize(samples)
-        tol = 1e-6 * max(abs(s.minimum), abs(s.maximum), 1.0)
-        assert s.minimum - tol <= s.p50 <= s.maximum + tol
-        assert s.minimum - tol <= s.mean <= s.maximum + tol
-
-
-class TestIntervalThroughput:
-    def test_constant_rate(self):
-        times = np.arange(0, 10.5, 0.5)
-        cumulative = times * 1000.0  # 1000 bytes/s
-        t, thr = interval_throughput(times, cumulative, interval=1.0)
-        assert thr[1:] == pytest.approx(np.full(len(thr) - 1, 8000.0))
-
-    def test_empty_series(self):
-        t, thr = interval_throughput([], [], 1.0)
-        assert len(t) == 0 and len(thr) == 0
-
-    def test_invalid_interval(self):
-        with pytest.raises(ConfigurationError):
-            interval_throughput([0.0], [0.0], 0.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            interval_throughput([0.0, 1.0], [0.0], 1.0)
-
-
-class TestCumulativeEvents:
-    def test_counts_events_up_to_each_time(self):
-        events = [1.0, 2.0, 2.5]
-        out = cumulative_events(events, [0.0, 1.0, 2.0, 3.0])
-        assert list(out) == [0.0, 1.0, 2.0, 3.0]
-
-    def test_no_events(self):
-        out = cumulative_events([], [0.0, 5.0])
-        assert list(out) == [0.0, 0.0]
-
-    @given(st.lists(st.floats(min_value=0, max_value=100), max_size=50))
-    def test_monotone_nondecreasing(self, events):
-        grid = np.linspace(0, 100, 50)
-        out = cumulative_events(events, grid)
-        assert (np.diff(out) >= 0).all()
-        assert out[-1] == len([e for e in events if e <= 100])

@@ -10,12 +10,12 @@ import pytest
 from repro.obs.trace import (
     TRACE_CATEGORIES,
     TraceBus,
+    TraceRecord,
     active_trace_bus,
     read_jsonl,
     trace_session,
     write_jsonl,
 )
-from repro.sim.tracing import TraceRecord
 
 
 class TestDisabledPath:

@@ -73,16 +73,6 @@ class TestRoundTrip:
             assert np.array_equal(replayed.cwnd_segments, original.cwnd_segments)
             assert np.array_equal(replayed.ifq_occupancy, original.ifq_occupancy)
 
-    def test_round_tripped_spec_matches_legacy_wrapper_bit_for_bit(self):
-        from repro.experiments import run_single_flow
-
-        legacy = run_single_flow("reno", config=SMALL_PATH, duration=1.5, seed=3)
-        spec = _roundtrip(RunSpec(cc="reno", config=SMALL_PATH, duration=1.5, seed=3))
-        replayed = execute(spec)
-        assert replayed.flow.bytes_acked == legacy.flow.bytes_acked
-        assert np.array_equal(replayed.cwnd_segments, legacy.cwnd_segments)
-        assert np.array_equal(replayed.acked_bytes, legacy.acked_bytes)
-
     def test_sweep_executes_identically_after_round_trip(self):
         spec = SweepSpec(name="ifq_size_sweep",
                          parameter="config.ifq_capacity_packets",

