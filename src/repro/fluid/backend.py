@@ -32,6 +32,7 @@ from .model import (
     FluidFlowModel,
     FluidMultiFlowModel,
     FluidRunResult,
+    RestrictedFluid,
     fluid_growth_rule,
 )
 
@@ -184,8 +185,8 @@ def _churn_inputs(churn, cfg: PathConfig, duration: float, seed: int,
 
     Stateless growth rules (Reno, limited slow-start) are shared across the
     whole population; stateful controllers (restricted) get one instance per
-    flow, all built from one frozen controller configuration resolved here
-    once.  Arrivals carry ``quantize_start=True`` so the vector engine
+    flow, all built from one frozen controller configuration and one
+    delayed-ACK quantum resolved here once.  Arrivals carry ``quantize_start=True`` so the vector engine
     activates them at round boundaries instead of cutting per-arrival
     rounds (see :class:`~repro.fluid.model.FluidFlowInput`).
     """
@@ -195,6 +196,7 @@ def _churn_inputs(churn, cfg: PathConfig, duration: float, seed: int,
     shared_rule = rss = None
     if churn.cc == "restricted":
         rss = RestrictedSlowStartConfig.for_path(cfg.rtt)
+        quantum = float(cfg.tcp_options().delack_segments)
     else:
         shared_rule = fluid_growth_rule(churn.cc, cfg)
     return [
@@ -202,7 +204,7 @@ def _churn_inputs(churn, cfg: PathConfig, duration: float, seed: int,
             name=f"churn{i}:{churn.cc}",
             cc=churn.cc,
             rule=(shared_rule if shared_rule is not None
-                  else fluid_growth_rule(churn.cc, cfg, rss_config=rss)),
+                  else RestrictedFluid(rss, ack_quantum=quantum)),
             ifq=arrival.pair,
             start_time=arrival.start_time,
             total_bytes=arrival.total_bytes,

@@ -157,7 +157,14 @@ class FluidGrowthRule:
         return None
 
     def on_reduction(self) -> None:
-        """A window reduction happened (stall, loss or timeout)."""
+        """A window reduction happened (stall, loss or timeout).
+
+        It must do nothing for a rule whose :meth:`increment` has not run
+        since the rule was built or since its last ``on_reduction``:
+        :class:`~repro.fluid.vector.FluidPopulationModel` skips the call
+        for such rules.  :class:`RestrictedFluid` qualifies, because a
+        controller reset restores exactly the state it was built with.
+        """
 
 
 class RenoFluid(FluidGrowthRule):

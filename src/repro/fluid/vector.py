@@ -27,8 +27,15 @@ ones: started, unfrozen, not yet finished or stopped), never with the
 whole population: each pass selects its flows by array masks over the
 round's active set, and each rule's
 :meth:`~repro.fluid.model.FluidGrowthRule.grain` is read once per flow at
-construction.  A 20,000-arrival restricted churn runs in
-seconds (``benchmarks/bench_fluid_scale.py``).
+construction.  A chunk reads the eligible flows' windows into Python
+floats once, loops over those, and writes the windows, peaks, injections
+and queues back once.  A reduction calls
+:meth:`~repro.fluid.model.FluidGrowthRule.on_reduction` only on rules whose
+``increment`` ran since their last reduction (a per-flow dirty flag); the
+rule contract makes the skipped calls no-ops, so a synchronized loss over
+thousands of regulated flows resets only the controllers that moved.  A
+20,000-arrival restricted churn runs in under two seconds
+(``benchmarks/bench_fluid_scale.py``).
 
 Open-loop churn
 ---------------
@@ -327,6 +334,9 @@ class FluidPopulationModel:
             else:
                 self.grain[i] = rule.grain(self.capacity)
         self.vector_kind = self.kind != _KIND_SIDE
+        #: side flows whose rule's increment() ran since its last
+        #: on_reduction(); only these are reset on a reduction
+        self._side_dirty = np.zeros(n, dtype=bool)
 
         # --- dynamic state ------------------------------------------------
         self.cwnd = np.full(n, float(self.options.initial_cwnd_segments))
@@ -463,8 +473,14 @@ class FluidPopulationModel:
         return np.minimum(window, self.pipe + q)
 
     def _side_on_reduction(self, gidx: np.ndarray) -> None:
+        # Only rules whose increment() ran since their last reduction: for
+        # any other rule the call is a no-op by the on_reduction contract.
+        dirty = gidx[self._side_dirty[gidx]]
+        if dirty.size == 0:
+            return
+        self._side_dirty[dirty] = False
         rules = self.rules
-        for i in gidx[~self.vector_kind[gidx]].tolist():
+        for i in dirty.tolist():
             rules[i].on_reduction()
 
     def _reduce_on_stall_many(self, gidx: np.ndarray, t: float, rtt: float) -> None:
@@ -602,36 +618,51 @@ class FluidPopulationModel:
             # like the scalar model's per-flow scan
             sel = side_pos[elig[side_pos]]
             if sel.size:
-                cwnd, ssthresh = self.cwnd, self.ssthresh
-                queue, max_cwnd = self.queue, self.max_cwnd
+                sidx = idx[sel]
+                queue = self.queue.tolist()
                 capacity = self.capacity
-                for p, i, qi, ch in zip(sel.tolist(), idx[sel].tolist(),
-                                        g[sel].tolist(), chunk[sel].tolist()):
-                    before = float(cwnd[i])
-                    ss = float(ssthresh[i])
-                    q = float(queue[qi])
-                    occ = q / capacity if capacity else 0.0
+                new_cw = []
+                inj_cw = []
+                incremented = []
+                # ``b if b > a else a`` is ``max(a, b)`` exactly, signed
+                # zeros and NaN included
+                for i, qi, ch, before, ss in zip(
+                        sidx.tolist(), g[sel].tolist(), chunk[sel].tolist(),
+                        self.cwnd[sidx].tolist(), self.ssthresh[sidx].tolist()):
+                    q = queue[qi]
                     if before < ss:
+                        occ = q / capacity if capacity else 0.0
                         delta = rules[i].increment(ch, before, occ,
                                                    capacity, dt)
+                        incremented.append(i)
                         if delta < 0.0:
-                            new = max(before + delta, floor)
+                            new = before + delta
+                            new = floor if floor > new else new
                             inj = new - before
                         else:
                             grown = before + delta
                             if grown > ss:
-                                new = ss + (grown - ss) / max(ss, 1.0)
+                                new = ss + (grown - ss) / (1.0 if 1.0 > ss else ss)
                             else:
                                 new = grown
-                            inj = max(new - before, 0.0)
+                            inj = new - before
+                            inj = 0.0 if 0.0 > inj else inj
                     else:
-                        new = before + ch / max(before, 1.0)
-                        inj = max(new - before, 0.0)
-                    cwnd[i] = new
-                    if new > max_cwnd[i]:
-                        max_cwnd[i] = new
-                    injected[p] = inj
-                    queue[qi] = max(q + inj, 0.0)
+                        new = before + ch / (1.0 if 1.0 > before else before)
+                        inj = new - before
+                        inj = 0.0 if 0.0 > inj else inj
+                    new_cw.append(new)
+                    inj_cw.append(inj)
+                    q += inj
+                    queue[qi] = 0.0 if 0.0 > q else q
+                self.queue[:] = queue
+                new_arr = np.array(new_cw)
+                self.cwnd[sidx] = new_arr
+                up = new_arr > self.max_cwnd[sidx]
+                self.max_cwnd[sidx[up]] = new_arr[up]
+                injected[sel] = inj_cw
+                if incremented:
+                    self._side_dirty[incremented] = True
 
             # drain with the NIC slack and track the jittered peak, on the
             # queues that saw contributions this chunk

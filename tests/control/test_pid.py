@@ -186,6 +186,55 @@ class TestHousekeeping:
         assert pid.integral == 0.0
         assert pid.last_output == 0.0
 
+    @staticmethod
+    def _state(pid):
+        # repr tells 0 from 0.0 and -0.0 from 0.0, so equal states are
+        # interchangeable bit for bit
+        return {name: repr(value) for name, value in vars(pid).items()}
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(),
+        dict(derivative_filter_tau=0.005, anti_windup="conditional"),
+        dict(tracking_time=0.2, output_min=-1.0, output_max=1.0),
+    ], ids=["default", "filtered_conditional", "tracking_clamped"])
+    def test_reset_of_a_new_controller_changes_nothing(self, kwargs):
+        # the vector fluid engine skips on_reduction for a restricted flow
+        # whose controller has not updated since it was built or last reset:
+        # that is sound only while reset() restores the constructor's state
+        def build():
+            return PIDController(PIDGains.from_time_constants(kp=2.0, ti=0.5, td=0.1),
+                                 setpoint=0.9, **kwargs)
+
+        fresh, reset_once, reset_twice = build(), build(), build()
+        reset_once.reset()
+        reset_twice.reset()
+        reset_twice.reset()
+        for name in ("_integral", "_prev_pv", "_filtered_pv", "last_error",
+                     "last_output", "last_p", "last_i", "last_d", "updates"):
+            assert name in vars(fresh)
+        assert self._state(reset_once) == self._state(fresh)
+        assert self._state(reset_twice) == self._state(fresh)
+        assert reset_twice.updates == 0
+
+    def test_reset_is_idempotent_and_keeps_the_update_count(self):
+        def driven():
+            pid = PIDController(PIDGains.from_time_constants(kp=2.0, ti=0.5, td=0.1),
+                                setpoint=0.9, derivative_filter_tau=0.005)
+            for pv in (0.2, 0.7, 1.1):
+                pid.update(pv=pv, dt=0.01)
+            return pid
+
+        once, twice = driven(), driven()
+        once.reset()
+        twice.reset()
+        twice.reset()
+        assert self._state(twice) == self._state(once)
+        assert once.updates == 3
+        # after a reset the controller acts like a new one
+        fresh = PIDController(once.gains, setpoint=0.9, derivative_filter_tau=0.005)
+        assert ([once.update(pv, 0.01) for pv in (0.4, 0.95)]
+                == [fresh.update(pv, 0.01) for pv in (0.4, 0.95)])
+
     def test_update_counter(self):
         pid = PIDController(PIDGains(kp=1.0), setpoint=0.0)
         for _ in range(7):

@@ -10,6 +10,7 @@ landed with the engine (annotation resolution, early-exit duration).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import typing
@@ -30,9 +31,11 @@ from repro.fluid import (
     cross_validate_population,
     fluid_growth_rule,
 )
-from repro.fluid.backend import execute_fluid_multi_flow
+from repro.fluid.backend import _churn_inputs, execute_fluid_multi_flow
+from repro.fluid.model import RestrictedFluid
 from repro.sim.randomness import RandomStreams
 from repro.spec import MultiFlowSpec, dumbbell, execute, shared_path, spec_from_json
+from repro.tcp.state import LocalCongestionPolicy
 from repro.testing import SMALL_PATH
 from repro.workloads.bulk import BulkFlowSpec
 
@@ -60,6 +63,56 @@ def _mixed_flows():
                        start_time=0.1 * i)
         for i, cc in enumerate(ccs)
     ]
+
+
+#: A 3-packet IFQ and a 40-packet router buffer: restricted flows stall and
+#: the router overflows, so every local congestion policy reacts.
+TIGHT_PATH = SMALL_PATH.replace(ifq_capacity_packets=3, router_buffer_packets=40)
+
+
+def _restricted_mix(path, n=9, ifqs=None):
+    """Restricted, reno and limited slow-start flows, staggered, some finite."""
+    ccs = ("restricted", "reno", "limited_slow_start")
+    return [
+        FluidFlowInput(name=f"m{i}", cc=ccs[i % 3],
+                       rule=fluid_growth_rule(ccs[i % 3], path),
+                       ifq=ifqs(i) if ifqs is not None else i,
+                       start_time=0.2 * i,
+                       total_bytes=None if i % 3 == 0 else 300_000 * (1 + i % 2))
+        for i in range(n)
+    ]
+
+
+def _restricted_churn_spec():
+    return MultiFlowSpec(
+        scenario=dumbbell(SMALL_PATH, 2, ccs="restricted"),
+        churn=FlowArrivalSpec(rate_per_s=40.0, mean_size_bytes=50_000,
+                              size_dist="lognormal", cc="restricted"),
+        duration=5.0, seed=3, backend="fluid")
+
+
+def _document(result):
+    """A whole engine result as canonical JSON lines (floats by repr): one
+    line per flow outcome, then one for the rest, so a mismatch names the
+    first flow that differs."""
+    document = dataclasses.asdict(result)
+    flows = document.pop("flows")
+    return [json.dumps(item, sort_keys=True, default=repr)
+            for item in [*flows, document]]
+
+
+def _assert_reductions_follow_increments(log):
+    """Each ``on_reduction`` of a flow comes after an ``increment`` of that
+    flow since its previous ``on_reduction`` (``log``: ``(call, flow)``)."""
+    updated = set()
+    for call, flow in log:
+        if call == "increment":
+            updated.add(flow)
+        elif call == "on_reduction":
+            assert flow in updated, (
+                f"on_reduction of flow {flow} with no increment since its "
+                "last one")
+            updated.discard(flow)
 
 
 def _outcome_fields(result):
@@ -106,6 +159,26 @@ class TestScalarVectorParity:
         assert _outcome_fields(vector) == _outcome_fields(scalar)
         for f_s, f_v in zip(scalar.flows, vector.flows):
             assert f_v.goodput_bps == pytest.approx(f_s.goodput_bps, rel=1e-9)
+
+    @pytest.mark.parametrize("policy", list(LocalCongestionPolicy),
+                             ids=lambda p: p.value)
+    def test_restricted_mixes_match_exactly_under_each_policy(self, policy):
+        # one flow per pair: no in-IFQ sums, so every outcome field is equal
+        # bit for bit, stall and loss reactions included.  Below 8 flows
+        # numpy also sums the router total in the scalar model's order.
+        options = TIGHT_PATH.tcp_options(local_congestion_policy=policy)
+        scalar = FluidMultiFlowModel(TIGHT_PATH, _restricted_mix(TIGHT_PATH, n=7),
+                                     options=options).run(10.0)
+        vector = FluidPopulationModel(TIGHT_PATH, _restricted_mix(TIGHT_PATH, n=7),
+                                      options=options).run(10.0)
+        assert scalar.total_send_stalls > 0
+        assert scalar.bottleneck_loss_events > 0
+        assert ([dataclasses.asdict(f) for f in vector.flows]
+                == [dataclasses.asdict(f) for f in scalar.flows])
+        assert vector.steps == scalar.steps
+        assert vector.ifq_peaks == scalar.ifq_peaks
+        assert vector.total_send_stalls == scalar.total_send_stalls
+        assert vector.bottleneck_loss_events == scalar.bottleneck_loss_events
 
     def test_population_validation_grid_passes(self):
         report = cross_validate_population(duration=10.0)
@@ -174,19 +247,116 @@ class TestSideChannel:
             assert max(seen) < end
         assert any(kind == "on_reduction" for kind, _, _ in calls)
 
+    @pytest.mark.parametrize("policy", list(LocalCongestionPolicy),
+                             ids=lambda p: p.value)
+    def test_on_reduction_follows_an_increment_of_its_flow(self, policy):
+        # the on_reduction contract: a rule whose increment() has not run
+        # since it was built or last reduced may be skipped, and is
+        log = []
+
+        class RecordingRule(fluid_model.FluidGrowthRule):
+            # side-channel rule growing like Reno, so the IFQs overrun
+            def __init__(self, flow):
+                self.flow = flow
+
+            def grain(self, capacity):
+                return 4.0
+
+            def increment(self, acked, cwnd, occupancy_fraction, capacity, dt):
+                log.append(("increment", self.flow))
+                return acked
+
+            def on_reduction(self):
+                log.append(("on_reduction", self.flow))
+
+        flows = [
+            FluidFlowInput(name=f"s{i}", cc="spy", rule=RecordingRule(i),
+                           ifq=i % 3, start_time=0.35 * i,
+                           total_bytes=None if i % 3 == 0 else 150_000 * (1 + i % 4))
+            for i in range(12)
+        ]
+        options = SMALL_PATH.tcp_options(local_congestion_policy=policy)
+        FluidPopulationModel(SMALL_PATH, flows, options=options).run(8.0)
+        assert any(call == "on_reduction" for call, _ in log)
+        _assert_reductions_follow_increments(log)
+
+    def test_restricted_churn_resets_no_more_often_than_it_updates(self, monkeypatch):
+        log = []
+        increment = RestrictedFluid.increment
+        on_reduction = RestrictedFluid.on_reduction
+
+        def logged_increment(rule, *args):
+            log.append(("increment", id(rule)))
+            return increment(rule, *args)
+
+        def logged_on_reduction(rule):
+            log.append(("on_reduction", id(rule)))
+            on_reduction(rule)
+
+        monkeypatch.setattr(RestrictedFluid, "increment", logged_increment)
+        monkeypatch.setattr(RestrictedFluid, "on_reduction", logged_on_reduction)
+        execute(_restricted_churn_spec())
+        reductions = sum(call == "on_reduction" for call, _ in log)
+        assert 0 < reductions <= sum(call == "increment" for call, _ in log)
+        _assert_reductions_follow_increments(log)
+
     def test_restricted_churn_result_is_pinned(self):
         # sha256 of the result document (minus its telemetry sidecar): any
         # drift in the side-channel arithmetic or visiting order moves it
-        spec = MultiFlowSpec(
-            scenario=dumbbell(SMALL_PATH, 2, ccs="restricted"),
-            churn=FlowArrivalSpec(rate_per_s=40.0, mean_size_bytes=50_000,
-                                  size_dist="lognormal", cc="restricted"),
-            duration=5.0, seed=3, backend="fluid")
-        document = result_document(execute(spec))
+        document = result_document(execute(_restricted_churn_spec()))
         document.pop("telemetry", None)
         text = json.dumps(document, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f27d64cf2ee6c9c2572f0312d6c7ef6ffc4b7bf72f706e031648cb014cb55825")
+
+
+def _reset_every_side_flow(model, gidx):
+    """Reference reduction fan-out: ``on_reduction`` on every side flow."""
+    for i in gidx[~model.vector_kind[gidx]].tolist():
+        model.rules[i].on_reduction()
+
+
+class TestSkippedResets:
+    """Skipping the resets of controllers that have not updated changes no
+    result: the engine matches a reference that resets every side flow."""
+
+    SCENARIOS = {
+        # every arrival on one sender IFQ
+        "shared_ifq_churn": (lambda: _churn_inputs(
+            FlowArrivalSpec(rate_per_s=40.0, mean_size_bytes=50_000,
+                            size_dist="lognormal", cc="restricted"),
+            TIGHT_PATH, 5.0, seed=3, n_pairs=1), 5.0),
+        "restricted_reno_lss_mix": (
+            lambda: _restricted_mix(TIGHT_PATH, ifqs=lambda i: i % 2), 10.0),
+    }
+
+    @pytest.mark.parametrize("policy", list(LocalCongestionPolicy),
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_matches_a_reference_that_resets_every_flow(self, scenario, policy,
+                                                        monkeypatch):
+        build, duration = self.SCENARIOS[scenario]
+        options = TIGHT_PATH.tcp_options(local_congestion_policy=policy)
+        resets = [0]
+        on_reduction = RestrictedFluid.on_reduction
+
+        def counted_on_reduction(rule):
+            resets[0] += 1
+            on_reduction(rule)
+
+        monkeypatch.setattr(RestrictedFluid, "on_reduction", counted_on_reduction)
+
+        def run():
+            resets[0] = 0
+            model = FluidPopulationModel(TIGHT_PATH, build(), options=options)
+            return _document(model.run(duration)), resets[0]
+
+        document, skipping = run()
+        monkeypatch.setattr(FluidPopulationModel, "_side_on_reduction",
+                            _reset_every_side_flow)
+        reference, every = run()
+        assert 0 < skipping <= every
+        assert document == reference
 
 
 class TestSingleFlowParity:
