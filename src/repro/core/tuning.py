@@ -37,11 +37,8 @@ from ..control.ziegler_nichols import (
     gains_from_ultimate,
 )
 from ..errors import TuningError
-from ..host.ifq import IFQMonitor
-from ..sim.engine import Simulator
-from ..workloads.scenarios import PathConfig, build_dumbbell
+from ..workloads.scenarios import PathConfig
 from .config import RestrictedSlowStartConfig
-from .restricted_slow_start import RestrictedSlowStart
 
 __all__ = ["TuningResult", "evaluate_p_gain", "autotune_gains", "autotune_gains_fluid"]
 
@@ -92,9 +89,9 @@ def evaluate_p_gain(
     ``sample_interval`` seconds and classified by
     :func:`analyze_oscillation`.
     """
+    from ..spec import RunSpec, execute  # lazy: repro.spec imports repro.core
+
     cfg = config if config is not None else PathConfig()
-    sim = Simulator(seed=seed)
-    scenario = build_dumbbell(sim, cfg, n_flows=1)
     # pure P-only closed loop: no integral/derivative action, no set-point
     # guard — exactly the probing experiment the ZN procedure prescribes
     rss_config = RestrictedSlowStartConfig(
@@ -102,14 +99,10 @@ def evaluate_p_gain(
         gains=PIDGains(kp=kp),
         hard_setpoint_guard=False,
     )
-    scenario.add_bulk_flow(
-        index=0,
-        cc=lambda ctx: RestrictedSlowStart(ctx, rss_config),
-    )
-    monitor = IFQMonitor(sim, scenario.sender_ifq(0), interval=sample_interval)
-    monitor.start()
-    sim.run(until=duration)
-    times, occupancy = monitor.as_arrays()
+    run = execute(RunSpec(cc="restricted", config=cfg, duration=duration,
+                          seed=seed, rss_config=rss_config,
+                          trace_interval=sample_interval))
+    times, occupancy = run.ifq_times, run.ifq_occupancy
     capacity = float(cfg.ifq_capacity_packets)
     fractions = occupancy / capacity
     # a genuine ultimate-gain oscillation is a limit cycle about the set

@@ -19,8 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from ..analysis.metrics import improvement_percent, jain_fairness_index, utilization
-from ..core.config import RestrictedSlowStartConfig
-from ..core.restricted_slow_start import RestrictedSlowStart
 from ..host.apps import BulkSenderApp
 from ..host.ifq import IFQMonitor
 from ..instrumentation.tracer import TimeSeriesTracer
@@ -28,7 +26,15 @@ from ..metrics import FlowRecord, PopulationSummary, SummaryAccumulator
 from ..obs import telemetry as obs
 from ..sim.engine import Simulator
 from ..spec import ComparisonSpec, MultiFlowSpec, RunSpec
-from ..workloads.scenarios import PathConfig, Scenario, build_dumbbell
+from ..workloads.compile import (
+    attach_workload,
+    compile_scenario,
+    core_capacity_bps,
+    core_drops,
+    core_marks,
+    scenario_cc_factory,
+)
+from ..workloads.scenarios import PathConfig, Scenario
 
 __all__ = [
     "FlowResult",
@@ -37,6 +43,7 @@ __all__ = [
     "ComparisonResult",
     "execute_packet_run",
     "execute_multi_flow_spec",
+    "multi_flow_aggregates",
     "DEFAULT_PACKET_TRACE_INTERVAL",
 ]
 
@@ -229,6 +236,29 @@ def _report_packet_counters(sim: Simulator, scenario: Scenario,
     telemetry.count("send_stalls", sum(f.send_stalls for f in flows))
 
 
+def multi_flow_aggregates(
+    flows: Sequence[FlowResult],
+    capacity_bps: float,
+    streamed: PopulationSummary | None = None,
+) -> tuple[float, float, float]:
+    """Aggregate goodput, Jain index and link utilization of a multi-flow run.
+
+    Both engines report their multi-flow figures through this function.
+    The aggregate sums the per-flow goodputs in declaration order; under
+    streamed churn the materialised ``flows`` cover declared flows only, so
+    the aggregate and Jain index come from the ``streamed`` summary, which
+    saw every flow.  Utilization is the aggregate over ``capacity_bps``.
+    """
+    if streamed is not None:
+        aggregate = streamed.aggregate_goodput_bps
+        jain = streamed.jain_index if streamed.jain_index is not None else 1.0
+    else:
+        goodputs = [f.goodput_bps for f in flows]
+        aggregate = float(sum(goodputs))
+        jain = jain_fairness_index(goodputs)
+    return aggregate, jain, utilization(aggregate, capacity_bps)
+
+
 # ---------------------------------------------------------------------------
 # packet backend (registered as "packet" in repro.spec.backends)
 # ---------------------------------------------------------------------------
@@ -236,67 +266,39 @@ def _report_packet_counters(sim: Simulator, scenario: Scenario,
 def execute_packet_run(spec: RunSpec) -> SingleFlowResult:
     """Run one bulk transfer on the event-driven packet engine.
 
-    Without a ``scenario`` the canonical single-flow dumbbell is built from
-    ``spec.config`` (the legacy shape, byte-for-byte).  With a scenario the
-    compiler instantiates the declared topology; the scenario's first flow
-    places the measured transfer (the spec's ``cc``/``total_bytes`` pick the
-    algorithm and size), later flows and cross traffic run as declared.
+    The compiler instantiates the spec's scenario
+    (:meth:`~repro.spec.RunSpec.resolved_scenario`).  Its first flow places
+    the measured transfer (the spec's ``cc``/``total_bytes`` pick the
+    algorithm and size); later flows and cross traffic run as declared.
     """
     with obs.span("compile"):
+        scn = spec.resolved_scenario()
         cfg = spec.config
         sim = Simulator(seed=spec.seed)
+        scenario = compile_scenario(sim, scn, attach_flows=False)
 
+        primary = scn.flows[0]
         options = cfg.tcp_options()
         if spec.local_congestion_policy is not None:
             options = options.replace(local_congestion_policy=spec.local_congestion_policy)
+        if primary.ecn:
+            options = options.replace(ecn=True)
 
-        if spec.cc == "restricted":
-            rss = (spec.rss_config if spec.rss_config is not None
-                   else RestrictedSlowStartConfig.for_path(cfg.rtt))
-            primary_cc: str | object = lambda ctx: RestrictedSlowStart(ctx, rss)  # noqa: E731
-            primary_kwargs = None
-        else:
-            primary_cc = spec.cc
-            primary_kwargs = spec.cc_kwargs or None
-
-        if spec.scenario is None:
-            scenario = build_dumbbell(sim, cfg, n_flows=1)
-            app, _sink = scenario.add_bulk_flow(
-                index=0, cc=primary_cc, total_bytes=spec.total_bytes,
-                options=options, cc_kwargs=primary_kwargs,
-            )
-            primary_ifq = scenario.sender_ifq(0)
-            bottleneck_drops = lambda: scenario.bottleneck_interface().queue.stats.dropped  # noqa: E731
-            bottleneck_marks = lambda: scenario.bottleneck_interface().queue.stats.marked  # noqa: E731
-        else:
-            from ..workloads.compile import (
-                attach_workload,
-                compile_scenario,
-                core_drops,
-                core_marks,
-            )
-
-            scn = spec.scenario
-            scenario = compile_scenario(sim, scn, attach_flows=False)
-            primary = scn.flows[0]
-            if primary.ecn:
-                options = options.replace(ecn=True)
-            app, _sink = scenario.add_bulk_flow_between(
-                primary.src, primary.dst, cc=primary_cc,
-                total_bytes=spec.total_bytes, start_time=primary.start_time,
-                stop_time=primary.stop_time,
-                options=options, cc_kwargs=primary_kwargs, port=primary.port,
-                name=f"flow0:{spec.cc}",
-            )
-            attach_workload(scenario, scn, skip_first_flow=True)
-            primary_ifq = scenario.topology.node(primary.src).default_interface
-            if len(scenario.routers) == 2:
-                # same counter the legacy dumbbell path reports
-                bottleneck_drops = lambda: scenario.bottleneck_interface().queue.stats.dropped  # noqa: E731
-                bottleneck_marks = lambda: scenario.bottleneck_interface().queue.stats.marked  # noqa: E731
-            else:
-                bottleneck_drops = lambda: core_drops(scenario.topology)  # noqa: E731
-                bottleneck_marks = lambda: core_marks(scenario.topology)  # noqa: E731
+        # restricted takes its controller from rss_config; other algorithms
+        # take cc_kwargs through the registry
+        factory = scenario_cc_factory(spec.cc, cfg, rss_config=spec.rss_config)
+        app, _sink = scenario.add_bulk_flow_between(
+            primary.src, primary.dst,
+            cc=factory if factory is not None else spec.cc,
+            total_bytes=spec.total_bytes, start_time=primary.start_time,
+            stop_time=primary.stop_time, options=options,
+            cc_kwargs=(spec.cc_kwargs or None) if factory is None else None,
+            port=primary.port,
+            # a scenario-less spec's documents have always named it "flow0"
+            name="flow0" if spec.scenario is None else f"flow0:{spec.cc}",
+        )
+        attach_workload(scenario, scn, skip_first_flow=True)
+        primary_ifq = scenario.topology.node(primary.src).default_interface
 
         trace_interval = (spec.trace_interval if spec.trace_interval is not None
                           else DEFAULT_PACKET_TRACE_INTERVAL)
@@ -321,6 +323,7 @@ def execute_packet_run(spec: RunSpec) -> SingleFlowResult:
         cwnd_times, cwnd_vals = tracer.series("cwnd").as_arrays()
         acked_times, acked_vals = tracer.series("acked").as_arrays()
         ifq_queue = primary_ifq.queue
+        drops, marks, _capacity = _bottleneck_counters(scenario)
         result = SingleFlowResult(
             config=cfg,
             duration=elapsed,
@@ -330,8 +333,8 @@ def execute_packet_run(spec: RunSpec) -> SingleFlowResult:
             ifq_occupancy=ifq_occ,
             ifq_peak=ifq_queue.stats.peak_packets,
             ifq_drops=ifq_queue.stats.dropped,
-            bottleneck_drops=bottleneck_drops(),
-            bottleneck_marks=bottleneck_marks(),
+            bottleneck_drops=drops,
+            bottleneck_marks=marks,
             cwnd_times=cwnd_times,
             cwnd_segments=cwnd_vals,
             acked_times=acked_times,
@@ -343,82 +346,13 @@ def execute_packet_run(spec: RunSpec) -> SingleFlowResult:
 
 
 def execute_multi_flow_spec(spec: MultiFlowSpec) -> MultiFlowResult:
-    """Run several concurrent bulk flows on the packet engine.
+    """Run a multi-flow spec's scenario on the packet engine.
 
-    With a ``scenario`` the compiler instantiates the declared topology and
-    attaches the declared flows/cross traffic; the legacy dumbbell form
-    (``flows=``/``shared_paths=``) stays byte-for-byte unchanged.
+    The compiler instantiates :meth:`~repro.spec.MultiFlowSpec.resolved_scenario`
+    and attaches its declared flows and cross traffic.
     """
-    if spec.scenario is not None:
-        return _execute_scenario_multi_flow(spec)
     with obs.span("compile"):
-        cfg = spec.config
-        sim = Simulator(seed=spec.seed)
-        n_paths = 1 if spec.shared_paths else len(spec.flows)
-        scenario: Scenario = build_dumbbell(sim, cfg, n_flows=n_paths)
-
-        apps: list[tuple[BulkSenderApp, str]] = []
-        endpoints: list[tuple[str, str]] = []
-        completion_order: list[int] = []
-        for i, flow_spec in enumerate(spec.flows):
-            index = 0 if spec.shared_paths else i
-            rss = RestrictedSlowStartConfig.for_path(cfg.rtt)
-            if flow_spec.cc == "restricted":
-                factory = lambda ctx, _rss=rss: RestrictedSlowStart(ctx, _rss)  # noqa: E731
-                app, sink = scenario.add_bulk_flow(
-                    index=index, cc=factory, total_bytes=flow_spec.total_bytes,
-                    start_time=flow_spec.start_time, name=f"flow{i}:{flow_spec.cc}",
-                )
-            else:
-                app, sink = scenario.add_bulk_flow(
-                    index=index, cc=flow_spec.cc, total_bytes=flow_spec.total_bytes,
-                    start_time=flow_spec.start_time, cc_kwargs=flow_spec.cc_kwargs,
-                    name=f"flow{i}:{flow_spec.cc}",
-                )
-            app.on_complete = lambda _app, _i=i: completion_order.append(_i)
-            apps.append((app, flow_spec.cc))
-            endpoints.append((app.host.name, sink.host.name))
-
-    with obs.span("simulate"):
-        sim.run(until=spec.duration)
-
-    with obs.span("summarize"):
-        flows = [FlowResult.from_app(app, algorithm=cc, duration=sim.now - app.start_time)
-                 for app, cc in apps]
-        records, summary = _population_outcomes(
-            flows, endpoints, completion_order, horizon=spec.duration)
-        goodputs = [f.goodput_bps for f in flows]
-        aggregate = float(sum(goodputs))
-        result = MultiFlowResult(
-            config=cfg,
-            duration=sim.now,
-            seed=spec.seed,
-            flows=flows,
-            aggregate_goodput_bps=aggregate,
-            jain_index=jain_fairness_index(goodputs),
-            link_utilization=utilization(aggregate, cfg.bottleneck_rate_bps),
-            bottleneck_drops=scenario.bottleneck_interface().queue.stats.dropped,
-            bottleneck_marks=scenario.bottleneck_interface().queue.stats.marked,
-            total_send_stalls=sum(f.send_stalls for f in flows),
-            records=records,
-            summary=summary,
-        )
-        _report_packet_counters(sim, scenario, flows)
-    return result
-
-
-def _execute_scenario_multi_flow(spec: MultiFlowSpec) -> MultiFlowResult:
-    """Run a declared scenario's flows (and cross traffic) as a multi-flow run."""
-    from ..workloads.compile import (
-        compile_scenario,
-        core_capacity_bps,
-        core_drops,
-        core_marks,
-    )
-
-    with obs.span("compile"):
-        scn = spec.scenario
-        cfg = scn.config
+        scn = spec.resolved_scenario()
         sim = Simulator(seed=spec.seed)
         scenario = compile_scenario(sim, scn)
         completion_order: list[int] = []
@@ -437,31 +371,16 @@ def _execute_scenario_multi_flow(spec: MultiFlowSpec) -> MultiFlowResult:
         endpoints = [(app.host.name, sink.host.name) for app, sink in scenario.flows]
         records, summary = _population_outcomes(
             flows, endpoints, completion_order, horizon=spec.duration)
-        goodputs = [f.goodput_bps for f in flows]
-        aggregate = float(sum(goodputs))
-        if len(scenario.routers) == 2:
-            # the declared bottleneck link's rate, which a hand-written spec may
-            # set independently of config.bottleneck_rate_bps
-            drops = scenario.bottleneck_interface().queue.stats.dropped
-            marks = scenario.bottleneck_interface().queue.stats.marked
-            capacity = scenario.bottleneck_interface().rate_bps
-        else:
-            # multi-bottleneck graphs: count drops over every core queue and
-            # normalise the aggregate by the total core capacity so the
-            # reported utilisation stays in [0, 1]; router-less toy graphs fall
-            # back to the total forward link capacity
-            drops = core_drops(scenario.topology)
-            marks = core_marks(scenario.topology)
-            capacity = (core_capacity_bps(scenario.topology)
-                        or float(sum(l.rate_bps for l in scenario.topology.links)))
+        drops, marks, capacity = _bottleneck_counters(scenario)
+        aggregate, jain, link_utilization = multi_flow_aggregates(flows, capacity)
         result = MultiFlowResult(
-            config=cfg,
+            config=scn.config,
             duration=sim.now,
             seed=spec.seed,
             flows=flows,
             aggregate_goodput_bps=aggregate,
-            jain_index=jain_fairness_index(goodputs),
-            link_utilization=utilization(aggregate, capacity),
+            jain_index=jain,
+            link_utilization=link_utilization,
             bottleneck_drops=drops,
             bottleneck_marks=marks,
             total_send_stalls=sum(f.send_stalls for f in flows),
@@ -470,3 +389,20 @@ def _execute_scenario_multi_flow(spec: MultiFlowSpec) -> MultiFlowResult:
         )
         _report_packet_counters(sim, scenario, flows)
     return result
+
+
+def _bottleneck_counters(scenario: Scenario) -> tuple[int, int, float]:
+    """Drops, CE marks and capacity of a compiled scenario's bottleneck."""
+    if len(scenario.routers) == 2:
+        # the declared bottleneck link's rate, which a hand-written spec may
+        # set independently of config.bottleneck_rate_bps
+        iface = scenario.bottleneck_interface()
+        return iface.queue.stats.dropped, iface.queue.stats.marked, iface.rate_bps
+    # multi-bottleneck graphs: count drops over every core queue and
+    # normalise the aggregate by the total core capacity so the reported
+    # utilisation stays in [0, 1]; router-less toy graphs fall back to the
+    # total forward link capacity
+    topology = scenario.topology
+    capacity = (core_capacity_bps(topology)
+                or float(sum(l.rate_bps for l in topology.links)))
+    return core_drops(topology), core_marks(topology), capacity

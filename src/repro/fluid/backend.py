@@ -30,6 +30,7 @@ from ..workloads.scenarios import PathConfig
 from .model import (
     FluidFlowInput,
     FluidFlowModel,
+    FluidFlowOutcome,
     FluidMultiFlowModel,
     FluidRunResult,
     RestrictedFluid,
@@ -67,7 +68,7 @@ def execute_fluid_run(spec: RunSpec):
     check at construction time; repeating it here keeps the backend safe
     for callers invoking it directly.
     """
-    from ..experiments.runner import FlowResult, SingleFlowResult
+    from ..experiments.runner import SingleFlowResult
 
     if spec.scenario is not None:
         from ..spec.scenario import ensure_fluid_scenario
@@ -92,15 +93,13 @@ def execute_fluid_run(spec: RunSpec):
         # the scenario's first flow places the transfer; its declared start
         # (delayed app launch) and duration (stop hook) are honoured exactly
         # like the packet backend does
-        start_time = (spec.scenario.flows[0].start_time
-                      if spec.scenario is not None else 0.0)
-        stop_time = (spec.scenario.flows[0].stop_time
-                     if spec.scenario is not None else None)
+        primary = spec.resolved_scenario().flows[0]
         rule = fluid_growth_rule(spec.cc, cfg, cc_kwargs=spec.cc_kwargs or None,
                                  rss_config=spec.rss_config)
         model = FluidFlowModel(cfg, rule, options=options, seed=spec.seed,
                                total_bytes=spec.total_bytes,
-                               start_time=start_time, stop_time=stop_time)
+                               start_time=primary.start_time,
+                               stop_time=primary.stop_time)
     with obs.span("simulate"):
         raw: FluidRunResult = model.run(
             spec.duration,
@@ -110,40 +109,12 @@ def execute_fluid_run(spec: RunSpec):
     obs.add_counter("send_stalls", raw.send_stalls)
 
     with obs.span("summarize"):
-        flow = FlowResult(
-            name="flow0",
-            algorithm=spec.cc,
-            duration=raw.duration,
-            bytes_acked=raw.bytes_acked,
-            goodput_bps=raw.goodput_bps,
-            send_stalls=raw.send_stalls,
-            stall_times=list(raw.stall_times),
-            congestion_signals=raw.congestion_signals,
-            timeouts=0,
-            fast_retransmits=raw.fast_retransmits,
-            pkts_retrans=raw.pkts_retrans,
-            other_reductions=raw.other_reductions,
-            max_cwnd_bytes=int(raw.max_cwnd * cfg.mss),
-            final_cwnd_segments=raw.final_cwnd,
-            final_ssthresh_segments=raw.final_ssthresh,
-            smoothed_rtt=cfg.rtt,
-            min_rtt=cfg.rtt,
-            completion_time=raw.completion_time,
-            web100={
-                "backend": FLUID_BACKEND,
-                "ThruBytesAcked": raw.bytes_acked,
-                "SendStall": raw.send_stalls,
-                "OtherReductions": raw.other_reductions,
-                "CongestionSignals": raw.congestion_signals,
-                "FastRetran": raw.fast_retransmits,
-                "MaxCwnd": int(raw.max_cwnd * cfg.mss),
-            },
-        )
         result = SingleFlowResult(
             config=cfg,
             duration=raw.duration,
             seed=spec.seed,
-            flow=flow,
+            flow=_flow_result(raw, cfg, name="flow0", algorithm=spec.cc,
+                              start_time=0.0),
             ifq_times=np.asarray(raw.times, dtype=float),
             ifq_occupancy=np.asarray(raw.ifq_occupancy, dtype=float),
             ifq_peak=int(round(raw.ifq_peak)),
@@ -160,6 +131,49 @@ def execute_fluid_run(spec: RunSpec):
             backend=FLUID_BACKEND,
         )
     return result
+
+
+def _flow_result(raw: FluidRunResult | FluidFlowOutcome, cfg: PathConfig, *,
+                 name: str, algorithm: str, start_time: float):
+    """One flow's :class:`~repro.experiments.runner.FlowResult` from the
+    counters a fluid model measured for it.
+
+    The fluid models do not time out or measure RTTs, so ``timeouts`` is
+    zero and both RTT fields report the path's propagation RTT.
+    """
+    from ..experiments.runner import FlowResult
+
+    max_cwnd_bytes = int(raw.max_cwnd * cfg.mss)
+    return FlowResult(
+        name=name,
+        algorithm=algorithm,
+        duration=raw.duration,
+        start_time=start_time,
+        bytes_acked=raw.bytes_acked,
+        goodput_bps=raw.goodput_bps,
+        send_stalls=raw.send_stalls,
+        stall_times=list(raw.stall_times),
+        congestion_signals=raw.congestion_signals,
+        timeouts=0,
+        fast_retransmits=raw.fast_retransmits,
+        pkts_retrans=raw.pkts_retrans,
+        other_reductions=raw.other_reductions,
+        max_cwnd_bytes=max_cwnd_bytes,
+        final_cwnd_segments=raw.final_cwnd,
+        final_ssthresh_segments=raw.final_ssthresh,
+        smoothed_rtt=cfg.rtt,
+        min_rtt=cfg.rtt,
+        completion_time=raw.completion_time,
+        web100={
+            "backend": FLUID_BACKEND,
+            "ThruBytesAcked": raw.bytes_acked,
+            "SendStall": raw.send_stalls,
+            "OtherReductions": raw.other_reductions,
+            "CongestionSignals": raw.congestion_signals,
+            "FastRetran": raw.fast_retransmits,
+            "MaxCwnd": max_cwnd_bytes,
+        },
+    )
 
 
 def _multiflow_rule(flow, cfg: PathConfig):
@@ -217,12 +231,10 @@ def _churn_inputs(churn, cfg: PathConfig, duration: float, seed: int,
 def execute_fluid_multi_flow(spec, engine: str | None = None):
     """Run a :class:`~repro.spec.MultiFlowSpec` on the coupled fluid model.
 
-    Accepts both spec forms: a declared ``scenario`` (which must pass
-    :func:`~repro.spec.scenario.ensure_fluid_multiflow_scenario`) and the
-    legacy dumbbell form (``flows=``/``shared_paths=``), which is converted
-    through :func:`~repro.spec.scenario.from_bulk_flows` first so there is
-    exactly one mapping from declarations to model inputs.  Returns the
-    same :class:`~repro.experiments.runner.MultiFlowResult` the packet
+    The model runs the spec's
+    :meth:`~repro.spec.MultiFlowSpec.resolved_scenario`, which must pass
+    :func:`~repro.spec.scenario.ensure_fluid_multiflow_scenario`.  Returns
+    the same :class:`~repro.experiments.runner.MultiFlowResult` the packet
     engine produces, tagged ``backend="fluid"``.
 
     ``engine`` selects the integrator: ``"scalar"``
@@ -235,19 +247,11 @@ def execute_fluid_multi_flow(spec, engine: str | None = None):
     deterministically from the spec's seed, and appended to the declared
     flows round-robin over the scenario's dumbbell pairs.
     """
-    from ..analysis.metrics import jain_fairness_index, utilization
-    from ..experiments.runner import FlowResult, MultiFlowResult
-    from ..spec.scenario import (
-        _dumbbell_pair_index,
-        ensure_fluid_multiflow_scenario,
-        from_bulk_flows,
-    )
+    from ..experiments.runner import MultiFlowResult, multi_flow_aggregates
+    from ..spec.scenario import _dumbbell_pair_index, ensure_fluid_multiflow_scenario
 
     with obs.span("compile"):
-        scenario = spec.scenario
-        if scenario is None:
-            scenario = from_bulk_flows(spec.flows, config=spec.config,
-                                       shared_paths=spec.shared_paths)
+        scenario = spec.resolved_scenario()
         ensure_fluid_multiflow_scenario(scenario)
 
         cfg = scenario.config
@@ -296,51 +300,14 @@ def execute_fluid_multi_flow(spec, engine: str | None = None):
     obs.add_counter("send_stalls", raw.total_send_stalls)
 
     with obs.span("summarize"):
-        flows = []
-        for outcome in raw.flows:
-            flows.append(FlowResult(
-                name=outcome.name,
-                algorithm=outcome.algorithm,
-                duration=outcome.duration,
-                start_time=outcome.start_time,
-                bytes_acked=outcome.bytes_acked,
-                goodput_bps=outcome.goodput_bps,
-                send_stalls=outcome.send_stalls,
-                stall_times=list(outcome.stall_times),
-                congestion_signals=outcome.congestion_signals,
-                timeouts=0,
-                fast_retransmits=outcome.fast_retransmits,
-                pkts_retrans=outcome.pkts_retrans,
-                other_reductions=outcome.other_reductions,
-                max_cwnd_bytes=int(outcome.max_cwnd * cfg.mss),
-                final_cwnd_segments=outcome.final_cwnd,
-                final_ssthresh_segments=outcome.final_ssthresh,
-                smoothed_rtt=cfg.rtt,
-                min_rtt=cfg.rtt,
-                completion_time=outcome.completion_time,
-                web100={
-                    "backend": FLUID_BACKEND,
-                    "ThruBytesAcked": outcome.bytes_acked,
-                    "SendStall": outcome.send_stalls,
-                    "OtherReductions": outcome.other_reductions,
-                    "CongestionSignals": outcome.congestion_signals,
-                    "FastRetran": outcome.fast_retransmits,
-                    "MaxCwnd": int(outcome.max_cwnd * cfg.mss),
-                },
-            ))
+        flows = [_flow_result(outcome, cfg, name=outcome.name,
+                              algorithm=outcome.algorithm,
+                              start_time=outcome.start_time)
+                 for outcome in raw.flows]
         summary = raw.summary
-        if churn is not None and summary is not None:
-            # Streamed churn: the materialised flows cover declared flows only,
-            # so the population-wide figures come from the summary (which saw
-            # every flow, streamed or not).
-            aggregate = summary.aggregate_goodput_bps
-            jain = summary.jain_index if summary.jain_index is not None else 1.0
-            drops = summary.total_retransmits
-        else:
-            goodputs = [f.goodput_bps for f in flows]
-            aggregate = float(sum(goodputs))
-            jain = jain_fairness_index(goodputs)
-            drops = sum(f.pkts_retrans for f in flows)
+        streamed = summary if churn is not None else None
+        aggregate, jain, link_utilization = multi_flow_aggregates(
+            flows, cfg.bottleneck_rate_bps, streamed=streamed)
         result = MultiFlowResult(
             config=cfg,
             duration=raw.duration,
@@ -348,11 +315,12 @@ def execute_fluid_multi_flow(spec, engine: str | None = None):
             flows=flows,
             aggregate_goodput_bps=aggregate,
             jain_index=jain,
-            link_utilization=utilization(aggregate, cfg.bottleneck_rate_bps),
+            link_utilization=link_utilization,
             # each synchronized overflow episode rejects (at least) one packet
             # per reduced flow; reporting it keeps fluid rows from reading as
             # "no drops" at operating points where the packet engine drops
-            bottleneck_drops=drops,
+            bottleneck_drops=(summary.total_retransmits if streamed is not None
+                              else sum(f.pkts_retrans for f in flows)),
             total_send_stalls=raw.total_send_stalls,
             backend=FLUID_BACKEND,
             records=raw.records,

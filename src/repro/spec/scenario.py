@@ -328,8 +328,10 @@ class CrossTrafficSpec:
     """A UDP cross-traffic source between two named hosts.
 
     ``rate_fraction`` is the offered load as a fraction of the scenario
-    config's bottleneck rate (peak rate for the on/off source), matching
-    :func:`repro.workloads.cross_traffic.add_cross_traffic`.
+    config's bottleneck rate (peak rate for the on/off source).  A source
+    on a flow's own sender shares that host's IFQ with the flow (the
+    host-congestion case of the paper's introduction); one on a host pair
+    of its own competes only for the bottleneck.
     """
 
     src: str
@@ -833,7 +835,8 @@ def from_bulk_flows(specs: Sequence, config: PathConfig | None = None,
     ``specs`` are :class:`~repro.workloads.bulk.BulkFlowSpec` objects;
     ``shared_paths=True`` maps every flow onto one sender/receiver pair
     (sharing the sending host's IFQ), otherwise flow ``i`` gets pair ``i``
-    (or its explicit ``path_index``).
+    (or its explicit ``path_index``).  Each flow keeps its ``cc_kwargs``.
+    This is how ``MultiFlowSpec(flows=...)`` runs on every engine.
     """
     if not specs:
         raise ExperimentError("at least one flow spec is required")
@@ -999,7 +1002,8 @@ def fluid_multiflow_unsupported_features(spec: ScenarioSpec) -> list[str]:
             unsupported_ccs.add(flow.cc)
     for cc in sorted(unsupported_ccs):
         features.append(
-            f"algorithm {cc!r} (fluid growth rules: {sorted(FLUID_ALGORITHMS)})")
+            f"algorithm {cc!r}, which has no growth rule (fluid growth "
+            f"rules: {sorted(FLUID_ALGORITHMS)})")
     if not features:
         features.extend(_fluid_shape_features(spec, max(pair_indices) + 1))
     return features

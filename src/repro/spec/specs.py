@@ -344,14 +344,15 @@ class RunSpec(SpecBase):
     scenario:
         Optional :class:`~repro.spec.scenario.ScenarioSpec` declaring the
         topology and background workload; ``None`` (the default, and what
-        old JSON documents decode to) runs on the canonical single-flow
-        dumbbell built from ``config``.  When set, the scenario's first
-        declared flow *places* the measured transfer (src/dst/start/port)
-        while this spec's ``cc``/``total_bytes``/``rss_config`` select the
-        algorithm — so ``ComparisonSpec``/sweeps can still vary ``cc``
-        across any scenario; flows after the first (and any cross traffic)
-        run as declared.  Fluid-incompatible scenarios are rejected eagerly
-        with :class:`~repro.errors.UnsupportedScenarioError`.
+        old JSON documents decode to) runs on ``dumbbell(config, 1)``, the
+        paper's single-flow testbed (see :meth:`resolved_scenario`).  The
+        scenario's first declared flow *places* the measured transfer
+        (src/dst/start/port) while this spec's ``cc``/``total_bytes``/
+        ``rss_config`` select the algorithm — so ``ComparisonSpec``/sweeps
+        can still vary ``cc`` across any scenario; flows after the first
+        (and any cross traffic) run as declared.  Fluid-incompatible
+        scenarios and algorithms are rejected eagerly with
+        :class:`~repro.errors.UnsupportedScenarioError`.
     """
 
     kind: ClassVar[str] = "run"
@@ -380,10 +381,39 @@ class RunSpec(SpecBase):
         ensure_backend(self.backend)
         if self.scenario is not None:
             _adopt_scenario_config(self)
-            if self.backend == "fluid":
-                from .scenario import ensure_fluid_scenario
+        if self.backend == "fluid":
+            self._ensure_fluid_eligible()
 
-                ensure_fluid_scenario(self.scenario)
+    def _ensure_fluid_eligible(self) -> None:
+        """Eager checks for the single-flow fluid model.
+
+        The algorithm check is a dict lookup: campaigns build many specs
+        and run few, so construction never builds the default scenario.
+        """
+        from ..errors import UnsupportedScenarioError
+        from ..fluid.model import FLUID_ALGORITHMS
+
+        if self.cc not in FLUID_ALGORITHMS:
+            raise UnsupportedScenarioError(
+                f"the fluid backend has no growth rule for {self.cc!r}; "
+                f"supported: {sorted(FLUID_ALGORITHMS)} (use backend='packet')")
+        if self.scenario is not None:
+            from .scenario import ensure_fluid_scenario
+
+            ensure_fluid_scenario(self.scenario)
+
+    def resolved_scenario(self) -> "ScenarioSpec":
+        """The scenario this run places its transfer on.
+
+        The declared ``scenario``, or the paper's single-flow dumbbell on
+        ``config`` when there is none.  Every engine reads the placement of
+        the measured flow from here.
+        """
+        if self.scenario is not None:
+            return self.scenario
+        from .scenario import dumbbell
+
+        return dumbbell(self.config, 1)
 
     # -- overrides -------------------------------------------------------
     @property
@@ -499,9 +529,13 @@ class ComparisonSpec(SpecBase):
 class MultiFlowSpec(SpecBase):
     """N concurrent bulk flows over one bottleneck (fairness experiments).
 
-    The legacy dumbbell form gives every flow its own sender/receiver pair
-    (``shared_paths=False``) or puts all flows on the first pair so they
-    also share the sending host's IFQ (``shared_paths=True``).
+    The dumbbell form (``flows=``) puts flow ``i`` on sender/receiver pair
+    ``i`` (or its ``path_index``), or all flows on the first pair so they
+    also share the sending host's IFQ (``shared_paths=True``).  Every
+    engine runs it as the scenario
+    :func:`~repro.spec.scenario.from_bulk_flows` converts it to (see
+    :meth:`resolved_scenario`); the form stays because its fields are part
+    of the cache key.
 
     Alternatively ``scenario`` names an explicit
     :class:`~repro.spec.scenario.ScenarioSpec`, whose topology, flows and
@@ -558,8 +592,13 @@ class MultiFlowSpec(SpecBase):
                 f"(got {self.backend!r})")
         if self.churn is not None:
             self._ensure_churn_eligible()
+        # converting here also rejects an out-of-range path_index when the
+        # spec is built, whatever the backend
+        scenario = self.resolved_scenario()
         if self.backend == "fluid":
-            self._ensure_fluid_eligible()
+            from .scenario import ensure_fluid_multiflow_scenario
+
+            ensure_fluid_multiflow_scenario(scenario)
 
     def _ensure_churn_eligible(self) -> None:
         """Eager checks for an open-loop churn population."""
@@ -582,22 +621,18 @@ class MultiFlowSpec(SpecBase):
         """Minimal valid instance for the spec auditor (needs >= 1 flow)."""
         return cls(flows=(BulkFlowSpec(),))
 
-    def _ensure_fluid_eligible(self) -> None:
-        """Eager shape check for the N-flow coupled fluid model."""
+    def resolved_scenario(self) -> "ScenarioSpec":
+        """The scenario this run executes, on every engine.
+
+        The declared ``scenario``, or the ``flows=``/``shared_paths=`` form
+        converted through :func:`~repro.spec.scenario.from_bulk_flows`
+        (which honours each flow's ``path_index`` and ``cc_kwargs``).
+        """
         if self.scenario is not None:
-            from .scenario import ensure_fluid_multiflow_scenario
+            return self.scenario
+        from .scenario import from_bulk_flows
 
-            ensure_fluid_multiflow_scenario(self.scenario)
-            return
-        from ..errors import UnsupportedScenarioError
-        from ..fluid.model import FLUID_ALGORITHMS
-
-        bad = sorted({f.cc for f in self.flows if f.cc not in FLUID_ALGORITHMS})
-        if bad:
-            raise UnsupportedScenarioError(
-                f"the multi-flow fluid backend has no growth rule for "
-                f"{bad}; supported: {sorted(FLUID_ALGORITHMS)} "
-                "(use backend='packet')")
+        return from_bulk_flows(self.flows, self.config, self.shared_paths)
 
     # -- overrides -------------------------------------------------------
     @property

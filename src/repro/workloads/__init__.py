@@ -6,8 +6,7 @@ live objects built here.  ``compile`` is intentionally not imported eagerly
 — it depends on :mod:`repro.spec`, which itself imports this package.
 """
 
-from .bulk import BulkFlowSpec, attach_bulk_flows
-from .cross_traffic import add_cross_traffic
+from .bulk import BulkFlowSpec
 from .scenarios import (
     CROSS_TRAFFIC_PORT_BASE,
     DATA_PORT_BASE,
@@ -25,8 +24,6 @@ __all__ = [
     "DATA_PORT_BASE",
     "CROSS_TRAFFIC_PORT_BASE",
     "BulkFlowSpec",
-    "attach_bulk_flows",
-    "add_cross_traffic",
     "compile_scenario",
     "compile_topology",
 ]

@@ -1,22 +1,19 @@
-"""Bulk-transfer workload helpers.
+"""Bulk-flow declarations for the dumbbell form of multi-flow specs.
 
-Thin declarative layer over :class:`repro.host.apps.BulkSenderApp`: a
-:class:`BulkFlowSpec` describes one flow (which algorithm, how many bytes,
-when it starts) and :func:`attach_bulk_flows` instantiates a list of specs on
-a built :class:`~repro.workloads.scenarios.Scenario`.  The experiment runner
-uses these to express multi-flow workloads compactly.
+A :class:`BulkFlowSpec` describes one flow (which algorithm, how many bytes,
+when it starts, which sender/receiver pair).  ``MultiFlowSpec(flows=...)``
+carries a tuple of them; :func:`repro.spec.scenario.from_bulk_flows` turns
+that tuple into the :class:`~repro.spec.scenario.ScenarioSpec` every engine
+runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from ..errors import ConfigurationError
-from ..host.apps import BulkSenderApp, SinkApp
-from .scenarios import Scenario
 
-__all__ = ["BulkFlowSpec", "attach_bulk_flows"]
+__all__ = ["BulkFlowSpec"]
 
 
 @dataclass(frozen=True)
@@ -34,9 +31,12 @@ class BulkFlowSpec:
         When the flow starts (seconds).
     path_index:
         Which sender/receiver pair of the dumbbell carries the flow;
-        ``None`` assigns pairs round-robin in list order.
+        ``None`` puts flow ``i`` on pair ``i``.  Ignored when the spec sets
+        ``shared_paths``.
     cc_kwargs:
-        Extra keyword arguments forwarded to the algorithm factory.
+        Extra keyword arguments for the algorithm factory; for
+        ``restricted``, :class:`~repro.core.config.RestrictedSlowStartConfig`
+        field overrides.
     """
 
     cc: str = "reno"
@@ -50,24 +50,3 @@ class BulkFlowSpec:
             raise ConfigurationError("start_time must be >= 0")
         if self.total_bytes is not None and self.total_bytes <= 0:
             raise ConfigurationError("total_bytes must be positive or None")
-
-
-def attach_bulk_flows(
-    scenario: Scenario, specs: Sequence[BulkFlowSpec]
-) -> list[tuple[BulkSenderApp, SinkApp]]:
-    """Instantiate every spec on the scenario and return the (app, sink) pairs."""
-    if not specs:
-        raise ConfigurationError("at least one flow spec is required")
-    attached: list[tuple[BulkSenderApp, SinkApp]] = []
-    for i, spec in enumerate(specs):
-        index = spec.path_index if spec.path_index is not None else i % scenario.n_paths
-        app, sink = scenario.add_bulk_flow(
-            index=index,
-            cc=spec.cc,
-            total_bytes=spec.total_bytes,
-            start_time=spec.start_time,
-            cc_kwargs=spec.cc_kwargs,
-            name=f"flow{i}:{spec.cc}",
-        )
-        attached.append((app, sink))
-    return attached

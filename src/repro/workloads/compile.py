@@ -1,18 +1,18 @@
 """Compile declarative scenario specs into live simulation objects.
 
 The bridge between the data layer (:mod:`repro.spec.scenario`) and the
-simulation layer: :func:`compile_topology` instantiates a
+simulation layer, and the only code that places flows and cross traffic
+on a topology: :func:`compile_topology` instantiates a
 :class:`~repro.spec.scenario.TopologySpec` as hosts, routers, queues and
 interfaces; :func:`compile_scenario` additionally attaches the declared
-bulk flows and cross-traffic sources, returning the same
-:class:`~repro.workloads.scenarios.Scenario` container the hardwired
-builders used to produce — so monitors, metrics and the experiment runner
-work identically on declared and legacy-built scenarios.
+bulk flows and cross-traffic sources, returning the
+:class:`~repro.workloads.scenarios.Scenario` container that monitors,
+metrics and the experiment runner read.
 
 Determinism note: nodes are instantiated in declaration order (fixing the
 address allocation) and links/flows in declaration order (fixing interface
-attachment, port assignment and event scheduling), so a compiled canonical
-dumbbell is byte-for-byte equivalent to the legacy ``build_dumbbell``.
+attachment, port assignment and event scheduling), so one scenario spec
+always compiles to the same simulation.
 """
 
 from __future__ import annotations
@@ -248,8 +248,7 @@ def compile_scenario(
     scenario's sender/receiver lists still follow the declared flows, so
     index-based accessors (``sender_ifq(0)``, ...) stay meaningful.
     """
-    allocator = AddressAllocator()
-    topology, nodes = compile_topology(sim, spec.topology, allocator)
+    topology, nodes = compile_topology(sim, spec.topology)
 
     senders: list[Host] = []
     receivers: list[Host] = []
@@ -267,7 +266,6 @@ def compile_scenario(
         senders=senders,
         receivers=receivers,
         routers=[nodes[name] for name in spec.topology.router_names],
-        allocator=allocator,
     )
     if attach_flows:
         attach_workload(scenario, spec)

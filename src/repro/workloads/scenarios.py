@@ -26,10 +26,8 @@ from typing import Callable
 from ..errors import ConfigurationError
 from ..host.apps import BulkSenderApp, SinkApp
 from ..host.host import Host
-from ..net.address import AddressAllocator
 from ..net.interface import NetworkInterface
 from ..net.lossmodels import LossModel
-from ..net.queues import DropTailQueue
 from ..net.router import Router
 from ..net.topology import Topology
 from ..sim.engine import Simulator
@@ -155,7 +153,6 @@ class Scenario:
     senders: list[Host]
     receivers: list[Host]
     routers: list[Router]
-    allocator: AddressAllocator
     flows: list[tuple[BulkSenderApp, SinkApp]] = field(default_factory=list)
     #: Cross-traffic sources attached by the scenario compiler.
     cross_traffic: list = field(default_factory=list)
@@ -186,34 +183,6 @@ class Scenario:
     # ------------------------------------------------------------------
     # workload attachment
     # ------------------------------------------------------------------
-    def add_bulk_flow(
-        self,
-        index: int = 0,
-        cc: str | CCFactory = "reno",
-        total_bytes: int | None = None,
-        start_time: float = 0.0,
-        stop_time: float | None = None,
-        options: TCPOptions | None = None,
-        cc_kwargs: dict | None = None,
-        name: str = "",
-    ) -> tuple[BulkSenderApp, SinkApp]:
-        """Attach a bulk TCP transfer on sender/receiver pair ``index``.
-
-        ``cc`` is either a registry name ("reno", "restricted", ...) or a
-        factory callable; ``cc_kwargs`` are forwarded to registry factories.
-        ``stop_time`` stops the sender offering new data at that simulation
-        time (see :meth:`BulkSenderApp.stop`).
-        """
-        if not (0 <= index < self.n_paths):
-            raise ConfigurationError(f"flow index {index} out of range (0..{self.n_paths - 1})")
-        return self._attach_flow(
-            self.senders[index], self.receivers[index],
-            cc=cc, total_bytes=total_bytes, start_time=start_time,
-            stop_time=stop_time,
-            options=options, cc_kwargs=cc_kwargs, port=None,
-            name=name or f"flow{index}", sink_label=str(index),
-        )
-
     def add_bulk_flow_between(
         self,
         src: Host | str,
@@ -229,9 +198,13 @@ class Scenario:
     ) -> tuple[BulkSenderApp, SinkApp]:
         """Attach a bulk TCP transfer between two named (or given) hosts.
 
-        The endpoint-addressed sibling of :meth:`add_bulk_flow`, used by the
-        scenario compiler: any two hosts of the topology can carry a flow,
-        not just a dumbbell sender/receiver pair.  ``port`` defaults to
+        The scenario compiler and the packet engine place every flow
+        through here: any two hosts of the topology can carry a flow, not
+        just a dumbbell sender/receiver pair.  ``cc`` is either a registry
+        name ("reno", "restricted", ...) or a factory callable;
+        ``cc_kwargs`` are forwarded to registry factories.  ``stop_time``
+        stops the sender offering new data at that simulation time (see
+        :meth:`BulkSenderApp.stop`).  ``port`` defaults to
         ``DATA_PORT_BASE`` + the number of flows already attached.
         """
         src = self.topology.node(src) if isinstance(src, str) else src
@@ -241,28 +214,6 @@ class Scenario:
                 raise ConfigurationError(
                     f"flow endpoint {endpoint.name!r} is a router; flows "
                     "terminate on hosts")
-        return self._attach_flow(
-            src, dst, cc=cc, total_bytes=total_bytes, start_time=start_time,
-            stop_time=stop_time,
-            options=options, cc_kwargs=cc_kwargs, port=port,
-            name=name or f"flow{src.name}->{dst.name}", sink_label=dst.name,
-        )
-
-    def _attach_flow(
-        self,
-        src: Host,
-        dst: Host,
-        *,
-        cc: str | CCFactory,
-        total_bytes: int | None,
-        start_time: float,
-        stop_time: float | None = None,
-        options: TCPOptions | None,
-        cc_kwargs: dict | None,
-        port: int | None,
-        name: str,
-        sink_label: str,
-    ) -> tuple[BulkSenderApp, SinkApp]:
         factory: CCFactory
         if isinstance(cc, str):
             factory = registry_cc_factory(cc, **(cc_kwargs or {}))
@@ -272,7 +223,7 @@ class Scenario:
         # one port per flow (several flows may share a sender/receiver pair)
         if port is None:
             port = DATA_PORT_BASE + len(self.flows)
-        sink = SinkApp(dst, port, options=opts, name=f"sink:{sink_label}:{port}")
+        sink = SinkApp(dst, port, options=opts)
         app = BulkSenderApp(
             self.sim,
             src,
@@ -283,40 +234,10 @@ class Scenario:
             stop_time=stop_time,
             options=opts,
             cc_factory=factory,
-            name=name,
+            name=name or f"flow{src.name}->{dst.name}",
         )
         self.flows.append((app, sink))
         return app, sink
-
-    def add_host_pair(self, name: str) -> tuple[Host, Host]:
-        """Add an extra sender/receiver host pair (used for cross traffic).
-
-        The new hosts get their own access links (same rates/buffers as the
-        primary senders) and routes are rebuilt.
-        """
-        cfg = self.config
-        sim = self.sim
-        src = Host(sim, f"{name}-src", self.allocator.allocate(f"{name}-src"))
-        dst = Host(sim, f"{name}-dst", self.allocator.allocate(f"{name}-dst"))
-        self.topology.add_node(src)
-        self.topology.add_node(dst)
-        r1, r2 = self.routers[0], self.routers[1]
-        self.topology.add_link(
-            src, r1, cfg.sender_nic_rate_bps, cfg.access_delay,
-            queue_factory=lambda c, n: DropTailQueue(cfg.ifq_capacity_packets, clock=c, name=n),
-            queue_factory_ba=lambda c, n: DropTailQueue(cfg.ack_path_buffer_packets, clock=c, name=n),
-            name=f"{name}-access",
-        )
-        self.topology.add_link(
-            r2, dst, cfg.sender_nic_rate_bps, cfg.access_delay,
-            queue_factory=lambda c, n: DropTailQueue(cfg.router_buffer_packets, clock=c, name=n),
-            queue_factory_ba=lambda c, n: DropTailQueue(cfg.receiver_ifq_capacity_packets, clock=c, name=n),
-            name=f"{name}-egress",
-        )
-        self.topology.build_routes()
-        self.senders.append(src)
-        self.receivers.append(dst)
-        return src, dst
 
     def run(self, duration: float) -> float:
         """Run the scenario's simulator for ``duration`` seconds."""

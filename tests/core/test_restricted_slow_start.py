@@ -180,7 +180,7 @@ class TestReductions:
 class TestEndToEnd:
     def run_flow(self, sim, path, cc_factory, duration=4.0):
         scenario = build_dumbbell(sim, path, n_flows=1)
-        app, _sink = scenario.add_bulk_flow(cc=cc_factory)
+        app, _sink = scenario.add_bulk_flow_between("sender0", "receiver0", cc=cc_factory)
         monitor = IFQMonitor(sim, scenario.sender_ifq(0), interval=0.02)
         monitor.start()
         sim.run(until=duration)

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.control import PAPER_RULE, TUNING_RULES
+from repro.control import (
+    PAPER_RULE,
+    TUNING_RULES,
+    OscillationResult,
+    PIDGains,
+    ZNParameters,
+)
 from repro.core import RestrictedSlowStartConfig, autotune_gains, autotune_gains_fluid
 from repro.core.tuning import evaluate_p_gain
+from repro.spec import RunSpec, execute
 from repro.units import Mbps
 from repro.workloads import PathConfig
 
@@ -48,18 +55,12 @@ class TestFluidTuning:
 
     def test_fluid_gains_work_end_to_end(self, small_path):
         """Gains from the fluid tuner avoid stalls on the packet simulator."""
-        from repro.core import RestrictedSlowStart
-        from repro.sim import Simulator
-        from repro.workloads import build_dumbbell
-
         tuned = autotune_gains_fluid(small_path)
-        config = RestrictedSlowStartConfig(gains=tuned.gains)
-        sim = Simulator(seed=4)
-        scenario = build_dumbbell(sim, small_path, n_flows=1)
-        app, _ = scenario.add_bulk_flow(cc=lambda ctx: RestrictedSlowStart(ctx, config))
-        sim.run(until=4.0)
-        assert app.stats.SendStall == 0
-        assert app.goodput_bps() > 0.5 * small_path.bottleneck_rate_bps
+        run = execute(RunSpec(cc="restricted", config=small_path, duration=4.0,
+                              seed=4, rss_config=RestrictedSlowStartConfig(
+                                  gains=tuned.gains)))
+        assert run.flow.send_stalls == 0
+        assert run.flow.goodput_bps > 0.5 * small_path.bottleneck_rate_bps
 
 
 class TestPacketLevelTuning:
@@ -80,3 +81,39 @@ class TestPacketLevelTuning:
         assert result.gains.kp > 0
         assert result.ultimate.tc > 0
         assert len(result.history) >= 1
+
+
+#: kp -> (duration, OscillationResult) of ``evaluate_p_gain`` on TINY_PATH
+#: at its default seed; recorded when the experiment built its dumbbell by
+#: hand, before it ran as a RunSpec.
+P_GAIN_PINS = {
+    0.05: (2.0, OscillationResult(sustained=False, period=0.0, amplitude=0.0,
+                                  decay_ratio=0.0, n_peaks=0)),
+    0.4: (3.0, OscillationResult(sustained=True, period=0.008393939393938916,
+                                 amplitude=0.2777093012230966,
+                                 decay_ratio=1.5196078431372546, n_peaks=199)),
+    2.0: (3.0, OscillationResult(sustained=True, period=0.008094786729857303,
+                                 amplitude=0.2291342952275249,
+                                 decay_ratio=7.345070422535221, n_peaks=212)),
+    8.0: (3.0, OscillationResult(sustained=True, period=0.0079999999999995,
+                                 amplitude=0.22361349342481404,
+                                 decay_ratio=11.19230769230773, n_peaks=220)),
+}
+
+
+class TestPacketLevelTuningPins:
+    @pytest.mark.parametrize("kp", sorted(P_GAIN_PINS))
+    def test_p_gain_experiment_is_pinned(self, kp):
+        duration, expected = P_GAIN_PINS[kp]
+        assert evaluate_p_gain(kp, config=TINY_PATH, duration=duration) == expected
+
+    def test_autotune_search_is_pinned(self):
+        result = autotune_gains(config=TINY_PATH, duration=3.0, kp_initial=0.5,
+                                max_iterations=10, refine_steps=1)
+        assert result.history == [(0.5, OscillationResult(
+            sustained=True, period=0.007948717948717526,
+            amplitude=0.2774928839460312, decay_ratio=1.1866970576046414,
+            n_peaks=196))]
+        assert result.ultimate == ZNParameters(kc=0.5, tc=0.007948717948717526)
+        assert result.gains == PIDGains(kp=0.165, ki=41.516129032260274,
+                                        kd=0.0004328076923076693)

@@ -9,13 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, UnsupportedScenarioError
 from repro.spec import (
     ComparisonSpec,
     MultiFlowSpec,
     RunSpec,
     SweepSpec,
     available_backends,
+    dumbbell,
     dump_spec,
     execute,
     load_spec,
@@ -151,6 +152,19 @@ class TestValidationAndDispatch:
                              config=SMALL_PATH, duration=1.0)
         with pytest.raises(ExperimentError, match="no growth rule"):
             spec.with_backend("fluid")
+
+    @pytest.mark.parametrize("scenario", [None, dumbbell(SMALL_PATH, 1)],
+                             ids=["bare", "declared"])
+    def test_fluid_run_rejects_unmodelled_algorithm_at_construction(self, scenario):
+        with pytest.raises(UnsupportedScenarioError, match="no growth rule"):
+            RunSpec(cc="cubic", config=SMALL_PATH, backend="fluid", scenario=scenario)
+
+    @pytest.mark.parametrize("backend", ["packet", "fluid"])
+    def test_multi_flow_path_index_out_of_range_rejected_at_construction(self, backend):
+        flows = (BulkFlowSpec(cc="reno"), BulkFlowSpec(cc="reno", path_index=2))
+        with pytest.raises(ExperimentError, match="path_index 2 out of range"):
+            MultiFlowSpec(flows=flows, config=SMALL_PATH, duration=1.0,
+                          backend=backend)
 
     def test_varied_rejects_unknown_field(self):
         with pytest.raises(ExperimentError, match="no field"):

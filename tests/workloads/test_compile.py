@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments.results_io import result_document
 from repro.net import Router
 from repro.sim import Simulator
 from repro.spec import (
@@ -14,12 +15,13 @@ from repro.spec import (
     asymmetric_path,
     dumbbell,
     execute,
+    from_bulk_flows,
     lossy_link,
     parking_lot,
     shared_path,
 )
 from repro.testing import SMALL_PATH, TINY_PATH
-from repro.workloads import build_dumbbell
+from repro.workloads import BulkFlowSpec, build_dumbbell
 from repro.workloads.compile import compile_scenario, compile_topology, core_drops
 
 
@@ -59,45 +61,59 @@ class TestCompileTopology:
             0.5 * SMALL_PATH.bottleneck_rate_bps)
 
 
+def _payload(spec):
+    return result_document(execute(spec, max_workers=0))["payload"]
+
+
+def _payload_and_flow_name(spec):
+    payload = _payload(spec)
+    return payload, payload["flow"].pop("name")
+
+
+#: flow lists of the dumbbell ``flows=`` form -> shared_paths; the packet
+#: engine used to place these by hand and ignored path_index and a
+#: restricted flow's cc_kwargs
+BULK_FLOW_FORMS = {
+    "staggered": ((BulkFlowSpec(cc="restricted"),
+                   BulkFlowSpec(cc="reno", start_time=0.1)), False),
+    "path_index": ((BulkFlowSpec(cc="reno", path_index=1),
+                    BulkFlowSpec(cc="reno", path_index=1)), False),
+    "cc_kwargs": ((BulkFlowSpec(cc="restricted",
+                                cc_kwargs={"setpoint_fraction": 0.3}),
+                   BulkFlowSpec(cc="reno")), False),
+    "shared_paths": ((BulkFlowSpec(cc="restricted"),
+                      BulkFlowSpec(cc="reno", start_time=0.2),
+                      BulkFlowSpec(cc="limited_slow_start")), True),
+}
+
+
 class TestCanonicalEquivalence:
-    def test_run_spec_with_canonical_scenario_is_bit_for_bit(self):
-        """A RunSpec with scenario=dumbbell(cfg, 1) reproduces the
-        scenario-less (legacy-path) run exactly."""
-        base = RunSpec(cc="reno", config=SMALL_PATH, duration=2.0, seed=3)
-        declared = RunSpec(cc="reno", duration=2.0, seed=3,
-                           scenario=dumbbell(SMALL_PATH, 1))
-        a, b = execute(base), execute(declared)
-        assert a.flow.bytes_acked == b.flow.bytes_acked
-        assert a.flow.send_stalls == b.flow.send_stalls
-        assert a.ifq_peak == b.ifq_peak and a.ifq_drops == b.ifq_drops
-        assert a.bottleneck_drops == b.bottleneck_drops
-        assert np.array_equal(a.cwnd_segments, b.cwnd_segments)
-        assert np.array_equal(a.ifq_occupancy, b.ifq_occupancy)
-        assert np.array_equal(a.acked_bytes, b.acked_bytes)
+    """Each spec form runs exactly as the scenario it converts to."""
 
-    def test_restricted_run_with_scenario_is_bit_for_bit(self):
-        base = RunSpec(cc="restricted", config=SMALL_PATH, duration=2.0, seed=2)
-        declared = base.replace(scenario=dumbbell(SMALL_PATH, 1))
-        a, b = execute(base), execute(declared)
-        assert a.flow.bytes_acked == b.flow.bytes_acked
-        assert np.array_equal(a.ifq_occupancy, b.ifq_occupancy)
+    @pytest.mark.parametrize("backend", ["packet", "fluid"])
+    @pytest.mark.parametrize("cc,seed", [("reno", 3), ("restricted", 2)])
+    def test_run_spec_with_canonical_scenario_is_bit_for_bit(self, cc, seed, backend):
+        """A scenario-less RunSpec runs as ``dumbbell(cfg, 1)``: the whole
+        payload matches but for the flow's name."""
+        base = RunSpec(cc=cc, config=SMALL_PATH, duration=2.0, seed=seed,
+                       backend=backend)
+        bare, bare_name = _payload_and_flow_name(base)
+        declared, declared_name = _payload_and_flow_name(
+            base.replace(scenario=dumbbell(SMALL_PATH, 1)))
+        assert bare == declared
+        assert bare_name == "flow0"
+        assert declared_name == ("flow0" if backend == "fluid" else f"flow0:{cc}")
 
-    def test_multi_flow_scenario_matches_legacy_flows_form(self):
-        from repro.workloads import BulkFlowSpec
-        from repro.spec import from_bulk_flows
-
-        flows = (BulkFlowSpec(cc="restricted"),
-                 BulkFlowSpec(cc="reno", start_time=0.1))
-        legacy = execute(MultiFlowSpec(flows=flows, config=SMALL_PATH,
-                                       duration=2.0, seed=2))
-        declared = execute(MultiFlowSpec(
-            scenario=from_bulk_flows(flows, config=SMALL_PATH),
-            duration=2.0, seed=2))
-        assert ([f.bytes_acked for f in legacy.flows]
-                == [f.bytes_acked for f in declared.flows])
-        assert legacy.jain_index == declared.jain_index
-        assert legacy.bottleneck_drops == declared.bottleneck_drops
-        assert legacy.total_send_stalls == declared.total_send_stalls
+    @pytest.mark.parametrize("backend", ["packet", "fluid"])
+    @pytest.mark.parametrize("form", sorted(BULK_FLOW_FORMS))
+    def test_multi_flow_scenario_matches_legacy_flows_form(self, form, backend):
+        flows, shared = BULK_FLOW_FORMS[form]
+        bulk = MultiFlowSpec(flows=flows, config=SMALL_PATH, duration=2.0, seed=1,
+                             shared_paths=shared, backend=backend)
+        declared = MultiFlowSpec(
+            scenario=from_bulk_flows(flows, config=SMALL_PATH, shared_paths=shared),
+            duration=2.0, seed=1, backend=backend)
+        assert _payload(bulk) == _payload(declared)
 
 
 class TestScenarioExecution:

@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExperimentError, TopologyError
 from repro.net import Router
 from repro.sim import Simulator
+from repro.spec import from_bulk_flows
 from repro.units import Mbps
 from repro.workloads import (
     BulkFlowSpec,
     PathConfig,
     anl_lbnl_path,
-    attach_bulk_flows,
     build_dumbbell,
 )
+from repro.workloads.compile import compile_scenario
 
 
 class TestPathConfig:
@@ -114,22 +115,12 @@ class TestBuildDumbbell:
         rtt = scen.topology.path_rtt("sender0", "receiver0")
         assert rtt == pytest.approx(small_path.rtt, rel=0.01)
 
-    def test_add_host_pair_extends_topology(self, sim, small_path):
-        scen = build_dumbbell(sim, small_path, n_flows=1)
-        before = len(scen.topology.nodes)
-        src, dst = scen.add_host_pair("extra")
-        assert len(scen.topology.nodes) == before + 2
-        # the new pair is reachable
-        from repro.net import Packet
-        src.send_packet(Packet(500, src.address, dst.address))
-        sim.run()
-        assert dst.udp_packets_received == 1
-
 
 class TestAddBulkFlow:
     def test_creates_app_and_sink(self, sim, small_path):
         scen = build_dumbbell(sim, small_path, n_flows=1)
-        app, sink = scen.add_bulk_flow(cc="reno", total_bytes=10_000)
+        app, sink = scen.add_bulk_flow_between("sender0", "receiver0", cc="reno",
+                                               total_bytes=10_000)
         sim.run(until=2.0)
         assert app.completed
         assert sink.bytes_received == 10_000
@@ -137,46 +128,48 @@ class TestAddBulkFlow:
     def test_cc_by_name_requires_registration(self, sim, small_path):
         scen = build_dumbbell(sim, small_path, n_flows=1)
         with pytest.raises(ConfigurationError):
-            scen.add_bulk_flow(cc="definitely_not_registered")
+            scen.add_bulk_flow_between("sender0", "receiver0",
+                                       cc="definitely_not_registered")
 
     def test_invalid_flow_index(self, sim, small_path):
+        # a pair the dumbbell does not have is an unknown host
         scen = build_dumbbell(sim, small_path, n_flows=1)
-        with pytest.raises(ConfigurationError):
-            scen.add_bulk_flow(index=5)
+        with pytest.raises(TopologyError):
+            scen.add_bulk_flow_between("sender5", "receiver5")
 
     def test_restricted_by_name(self, sim, small_path):
         import repro.core  # noqa: F401 - registers "restricted"
         scen = build_dumbbell(sim, small_path, n_flows=1)
-        app, _ = scen.add_bulk_flow(cc="restricted")
+        app, _ = scen.add_bulk_flow_between("sender0", "receiver0", cc="restricted")
         sim.run(until=1.0)
         assert app.bytes_acked > 0
 
     def test_run_helper(self, sim, small_path):
         scen = build_dumbbell(sim, small_path, n_flows=1)
-        scen.add_bulk_flow(cc="reno", total_bytes=5000)
+        scen.add_bulk_flow_between("sender0", "receiver0", cc="reno", total_bytes=5000)
         end = scen.run(1.0)
         assert end == 1.0
 
 
 class TestBulkFlowSpecs:
+    """``MultiFlowSpec(flows=...)`` placement, through ``from_bulk_flows``."""
+
     def test_attach_assigns_paths_round_robin(self, sim, small_path):
-        scen = build_dumbbell(sim, small_path, n_flows=2)
         specs = [BulkFlowSpec(cc="reno"), BulkFlowSpec(cc="reno")]
-        flows = attach_bulk_flows(scen, specs)
-        assert len(flows) == 2
-        senders = {app.connection.host.name for app, _ in flows}
-        assert senders == {"sender0", "sender1"}
+        scen = compile_scenario(sim, from_bulk_flows(specs, small_path))
+        assert len(scen.flows) == 2
+        senders = [app.connection.host.name for app, _ in scen.flows]
+        assert senders == ["sender0", "sender1"]
 
     def test_explicit_path_index(self, sim, small_path):
-        scen = build_dumbbell(sim, small_path, n_flows=2)
-        specs = [BulkFlowSpec(cc="reno", path_index=1)]
-        (app, _), = attach_bulk_flows(scen, specs)
-        assert app.connection.host.name == "sender1"
+        specs = [BulkFlowSpec(cc="reno", path_index=1), BulkFlowSpec(cc="reno")]
+        scen = compile_scenario(sim, from_bulk_flows(specs, small_path))
+        senders = [app.connection.host.name for app, _ in scen.flows]
+        assert senders == ["sender1", "sender1"]
 
-    def test_empty_specs_rejected(self, sim, small_path):
-        scen = build_dumbbell(sim, small_path, n_flows=1)
-        with pytest.raises(ConfigurationError):
-            attach_bulk_flows(scen, [])
+    def test_empty_specs_rejected(self, small_path):
+        with pytest.raises(ExperimentError, match="at least one flow"):
+            from_bulk_flows([], small_path)
 
     def test_invalid_spec_values(self):
         with pytest.raises(ConfigurationError):
