@@ -319,7 +319,7 @@ def execute_fluid_multi_flow(spec, engine: str | None = None):
             # each synchronized overflow episode rejects (at least) one packet
             # per reduced flow; reporting it keeps fluid rows from reading as
             # "no drops" at operating points where the packet engine drops
-            bottleneck_drops=(summary.total_retransmits if streamed is not None
+            bottleneck_drops=(streamed.total_retransmits if streamed is not None
                               else sum(f.pkts_retrans for f in flows)),
             total_send_stalls=raw.total_send_stalls,
             backend=FLUID_BACKEND,

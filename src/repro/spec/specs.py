@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import pathlib
@@ -37,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..control.pid import PIDGains
 from ..core.config import RestrictedSlowStartConfig, default_gains
-from ..errors import ExperimentError
+from ..errors import ExperimentError, UnsupportedScenarioError
 from ..tcp.state import LocalCongestionPolicy
 from ..workloads.bulk import BulkFlowSpec
 from ..workloads.scenarios import PathConfig
@@ -174,6 +175,18 @@ def _adopt_scenario_config(spec: "RunSpec | MultiFlowSpec") -> None:
             "scenario dump <name> -o s.json' then 'repro run --scenario "
             "s.json'")
     object.__setattr__(spec, "config", spec.scenario.config)
+
+
+@functools.cache
+def _fluid_algorithms() -> tuple[str, ...]:
+    """Algorithms the fluid engines have a growth rule for.
+
+    Imported on first use, so building specs never loads an engine; cached,
+    because campaigns construct thousands of specs.
+    """
+    from ..fluid.model import FLUID_ALGORITHMS
+
+    return tuple(sorted(FLUID_ALGORITHMS))
 
 
 def _canonical_numbers(value: Any) -> Any:
@@ -387,16 +400,13 @@ class RunSpec(SpecBase):
     def _ensure_fluid_eligible(self) -> None:
         """Eager checks for the single-flow fluid model.
 
-        The algorithm check is a dict lookup: campaigns build many specs
-        and run few, so construction never builds the default scenario.
+        The algorithm check is a lookup: campaigns build many specs and run
+        few, so construction never builds the default scenario.
         """
-        from ..errors import UnsupportedScenarioError
-        from ..fluid.model import FLUID_ALGORITHMS
-
-        if self.cc not in FLUID_ALGORITHMS:
+        if self.cc not in _fluid_algorithms():
             raise UnsupportedScenarioError(
                 f"the fluid backend has no growth rule for {self.cc!r}; "
-                f"supported: {sorted(FLUID_ALGORITHMS)} (use backend='packet')")
+                f"supported: {list(_fluid_algorithms())} (use backend='packet')")
         if self.scenario is not None:
             from .scenario import ensure_fluid_scenario
 
@@ -609,8 +619,6 @@ class MultiFlowSpec(SpecBase):
                 f"churn must be a FlowArrivalSpec, got "
                 f"{type(self.churn).__name__}")
         if self.backend != "fluid":
-            from ..errors import UnsupportedScenarioError
-
             raise UnsupportedScenarioError(
                 "open-loop flow churn (FlowArrivalSpec) is modelled only by "
                 "the fluid backend's population engine; set backend='fluid' "

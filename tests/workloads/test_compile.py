@@ -70,6 +70,19 @@ def _payload_and_flow_name(spec):
     return payload, payload["flow"].pop("name")
 
 
+def _assert_bare_runs_as_declared_dumbbell(cc, seed, backend):
+    """A scenario-less RunSpec runs as ``dumbbell(cfg, 1)``: the whole
+    payload matches but for the flow's name."""
+    base = RunSpec(cc=cc, config=SMALL_PATH, duration=2.0, seed=seed,
+                   backend=backend)
+    bare, bare_name = _payload_and_flow_name(base)
+    declared, declared_name = _payload_and_flow_name(
+        base.replace(scenario=dumbbell(SMALL_PATH, 1)))
+    assert bare == declared
+    assert bare_name == "flow0"
+    assert declared_name == ("flow0" if backend == "fluid" else f"flow0:{cc}")
+
+
 #: flow lists of the dumbbell ``flows=`` form -> shared_paths; the packet
 #: engine used to place these by hand and ignored path_index and a
 #: restricted flow's cc_kwargs
@@ -91,18 +104,12 @@ class TestCanonicalEquivalence:
     """Each spec form runs exactly as the scenario it converts to."""
 
     @pytest.mark.parametrize("backend", ["packet", "fluid"])
-    @pytest.mark.parametrize("cc,seed", [("reno", 3), ("restricted", 2)])
-    def test_run_spec_with_canonical_scenario_is_bit_for_bit(self, cc, seed, backend):
-        """A scenario-less RunSpec runs as ``dumbbell(cfg, 1)``: the whole
-        payload matches but for the flow's name."""
-        base = RunSpec(cc=cc, config=SMALL_PATH, duration=2.0, seed=seed,
-                       backend=backend)
-        bare, bare_name = _payload_and_flow_name(base)
-        declared, declared_name = _payload_and_flow_name(
-            base.replace(scenario=dumbbell(SMALL_PATH, 1)))
-        assert bare == declared
-        assert bare_name == "flow0"
-        assert declared_name == ("flow0" if backend == "fluid" else f"flow0:{cc}")
+    def test_run_spec_with_canonical_scenario_is_bit_for_bit(self, backend):
+        _assert_bare_runs_as_declared_dumbbell("reno", 3, backend)
+
+    @pytest.mark.parametrize("backend", ["packet", "fluid"])
+    def test_restricted_run_with_scenario_is_bit_for_bit(self, backend):
+        _assert_bare_runs_as_declared_dumbbell("restricted", 2, backend)
 
     @pytest.mark.parametrize("backend", ["packet", "fluid"])
     @pytest.mark.parametrize("form", sorted(BULK_FLOW_FORMS))
