@@ -12,14 +12,18 @@ The format is intentionally simple and stable:
 
     {
       "kind": "single_flow",
-      "schema_version": 2,
+      "schema_version": 3,
       "spec": { "kind": "run", ... },
       "cache_key": "sha256...",
       "payload": { ... }
     }
 
 Version 2 added the metrics plane (``records``/``summary`` on multi-flow
-payloads).  Documents at a version in :data:`LEGACY_SCHEMA_VERSIONS` still
+payloads).  Version 3 changed no field: it marks the results of multi-flow
+specs in the ``flows=`` form, which the packet engine now runs as the
+scenario :func:`~repro.spec.scenario.from_bulk_flows` declares (honouring
+``path_index`` and a restricted flow's ``cc_kwargs``).  Documents at a
+version in :data:`LEGACY_SCHEMA_VERSIONS` still
 load — they simply predate those fields — while unknown (future or
 nonsense) versions are rejected.  The campaign store is stricter on
 purpose: a cached entry at a legacy version is a *miss* (see
@@ -62,12 +66,15 @@ __all__ = [
 #: Bumped whenever the on-disk layout changes incompatibly.
 #: 2: multi-flow payloads carry canonical flow ``records`` + a population
 #: ``summary`` (the unified metrics plane).
-SCHEMA_VERSION = 2
+#: 3: same layout; the packet engine runs ``MultiFlowSpec(flows=...)`` as
+#: its ``from_bulk_flows`` scenario, so those results changed under
+#: unchanged cache keys.
+SCHEMA_VERSION = 3
 
 #: Older versions :func:`validate_document` still accepts (read-compatible:
 #: they merely lack fields added since).  The campaign store does NOT serve
 #: cache hits from these — see :meth:`repro.campaign.store.ResultStore.get`.
-LEGACY_SCHEMA_VERSIONS = frozenset({1})
+LEGACY_SCHEMA_VERSIONS = frozenset({1, 2})
 
 _KINDS = {
     "single_flow": SingleFlowResult,

@@ -8,7 +8,7 @@ import pytest
 
 from repro.campaign import ResultStore
 from repro.errors import ExperimentError
-from repro.experiments.results_io import SCHEMA_VERSION, result_document
+from repro.experiments.results_io import SCHEMA_VERSION, load_result, result_document
 from repro.spec import RunSpec, execute
 from repro.testing import TINY_PATH
 
@@ -79,6 +79,17 @@ class TestIntegrityAndSchema:
         document["schema_version"] = SCHEMA_VERSION + 1
         path.write_text(json.dumps(document))
         assert store.get(key) is None
+
+    def test_schema_2_entry_is_a_miss_but_still_loads(self, store, fluid_result):
+        # schema 2 results may predate the flows= form running as its
+        # from_bulk_flows scenario: readable, never served as a hit
+        key = store.put(fluid_result)
+        path = store.path_for(key)
+        document = json.loads(path.read_text())
+        document["schema_version"] = 2
+        path.write_text(json.dumps(document))
+        assert store.get(key) is None
+        assert load_result(path)["schema_version"] == 2
 
     def test_tampered_spec_is_a_miss(self, store, fluid_result):
         key = store.put(fluid_result)

@@ -63,54 +63,66 @@ def _e12f_point():
 GOLDENS = {
     "restricted": (
         lambda: _fluid_run(),
-        "9d52405b0a577c700872be4a0829f003b872931b6c2741efe1bf8840a14aca6e",
+        # schema 3; at schema_version 2 this document hashed to 9d52405b0a577c70…
+        "b77c757454a97c38230617645e0b095bb4e92471d55e47fe780b9cdb788940b4",
         4670, 0),
     "reno": (
         lambda: _fluid_run("reno"),
-        "de71a665aea8374cd22745c7c5469514296550d2db70877286ade79da132440a",
+        # schema 3; at schema_version 2 this document hashed to de71a665aea8374c…
+        "9db2ae8f5ea9a1d08748af0366d2317bede1ace5b02f5aa5dcd182e92485139a",
         287, 2),
     "limited_slow_start": (
         lambda: _fluid_run("limited_slow_start",
                            cc_kwargs={"max_ssthresh_segments": 10.0}),
-        "8f9001c7c6e24f90ef1f338e33f41a92e9fa0d545fbd85dbcead6b13b38d1e45",
+        # schema 3; at schema_version 2 this document hashed to 8f9001c7c6e24f90…
+        "4fbc7897af037f25a6aac510c6216b6216e90ac81a81f829b101e03a466305d3",
         287, 2),
     "restricted_default_path": (
         lambda: RunSpec(cc="restricted", duration=5.0, seed=1, backend="fluid"),
-        "37526f41e52b3c2974a57153d4d77402f7a18eec2dd73424db43957e58b8ab85",
+        # schema 3; at schema_version 2 this document hashed to 37526f41e52b3c29…
+        "1939b858bbdc775257f5eb90c991f5a075eb5eedb096689726a5ec748c1369f9",
         7553, 0),
     "restricted_tiny_ifq": (
         lambda: _fluid_run(config=TINY_IFQ),
-        "964e3590b4c8996cc6600f098aad16967ccb8cae5dec84172c3635696af8d685",
+        # schema 3; at schema_version 2 this document hashed to 964e3590b4c8996c…
+        "3131fc82d86ee77cd37051ab0eeda200a76d0f7b9964f641921f90dc5c33e9a3",
         2787, 2),
     "restricted_ignore": (
         lambda: _fluid_run(config=TINY_IFQ, local_congestion_policy="ignore"),
-        "925ea2e0d718b955aeca6033db460ccea12df81c2c2a8298fcd31087c53fce3c",
+        # schema 3; at schema_version 2 this document hashed to 925ea2e0d718b955…
+        "c9f0ae73a602c04dd24df33ba07fda281f651784b9c1b2b3e206a1840932cf1c",
         4118, 1590),
     "reno_ignore": (
         lambda: _fluid_run("reno", local_congestion_policy="ignore"),
-        "36ae7ffc23741ec4bdcc267b06a3ae560bb5e2f224a7486242b0f71b36f81cb0",
+        # schema 3; at schema_version 2 this document hashed to 36ae7ffc23741ec4…
+        "31bf892db7f59c66953b4e57552c8a73636917eac6f0c6a91cf2a2365df8d5b3",
         292, 91),
     "restricted_clamp_only": (
         lambda: _fluid_run(config=TINY_IFQ, local_congestion_policy="clamp_only"),
-        "46426f03b1b2cebd34078692875f1d756684b62c6a3e96f8e93e8046387ff8c8",
+        # schema 3; at schema_version 2 this document hashed to 46426f03b1b2cebd…
+        "8e4a13cc572eabda5ec4a4b1979963ef47bd1c3b3b794e38a682f2ad3fa94847",
         3864, 56),
     "restricted_finite_transfer": (
         lambda: _fluid_run(duration=5.0, total_bytes=1_000_000),
-        "c68d05c45e3c93c6c21e4fc983cbb68e20a31f30976591a2380b7d3ee55c9a9d",
+        # schema 3; at schema_version 2 this document hashed to c68d05c45e3c93c6…
+        "487df5d25fcb7afa583cac82ad4b47958682decb1c20249efde7d1be59e2df01",
         697, 0),
     "restricted_start_stop": (
         _start_stop_run,
-        "569cdaa56785787b786235c27c0b018fa815cb96778cdda875f27216416d92d2",
+        # schema 3; at schema_version 2 this document hashed to 569cdaa56785787b…
+        "6d7b06a770806a4bee7afe8093ee7d6eaec7ec6e97600d2d64b711c82f7520e5",
         2158, 0),
     "e12f_point": (
         _e12f_point,
-        "ea729b82a7fef6548681dcc774dab47f402b31d377cacad65c27048a56495c80",
+        # schema 3; at schema_version 2 this document hashed to ea729b82a7fef654…
+        "f02e3fa2cbb1e96e0fa243f3bb624780471bd43bb246909cfa0c2a2a5dd251be",
         440, 2),
     "restricted_multiflow": (
         lambda: MultiFlowSpec(scenario=dumbbell(SMALL_PATH, 2, ccs="restricted",
                                                 start_times=(0.0, 0.5)),
                               duration=3.0, seed=1, backend="fluid"),
-        "7909ae1b1ec5acd1f63e785b7ab9ec28fcabaf46fc906bbc272e4dc18e067709",
+        # schema 3; at schema_version 2 this document hashed to 7909ae1b1ec5acd1…
+        "fa23170cf49daa11ec7f05c13868f5222f415f6654b47650de4d23b65ff95319",
         5550, 0),
 }
 

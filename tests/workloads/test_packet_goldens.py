@@ -46,23 +46,28 @@ GOLDENS = {
     "reno_vs_restricted": (
         lambda: ComparisonSpec(base=RunSpec(config=SMALL_PATH, duration=2.0, seed=1),
                                algorithms=("reno", "restricted")),
-        "362201f42b608a3b6f626bc7026b62e1e1783066a753121bb8506a8d27c15e01",
+        # schema 3; at schema_version 2 this document hashed to 362201f42b608a3b…
+        "4be2562965a6a7d1cbc78c6bf66937b7ea0ce87d04b24cd1c2ad780f5aa04fa6",
         41793, 46480, 20863),
     "e12_point": (
         _e12_point,
-        "f8582d6a8c6e002e2be3302308e337a66b32072d7c10b1c405d30dd7fa4baeb4",
+        # schema 3; at schema_version 2 this document hashed to f8582d6a8c6e002e…
+        "97accd51ad82c21d6f9b01aa78fa17ec3e46faf1fa4c3c098ef1f1e0ee918543",
         22521, 25048, 11284),
     "prague_dualpi2": (
         lambda: _aqm_cell("prague", "dualpi2"),
-        "adb5cc500f203ed066e2f4984c1ede2245d075cf492905bd8497c6224f3c9734",
+        # schema 3; at schema_version 2 this document hashed to adb5cc500f203ed0…
+        "72367a3cd7e95e62b7fe54d8216210b3d4206de56a979e686e87c3b073fd4c07",
         1630, 1804, 816),
     "reno_red": (
         lambda: _aqm_cell("reno", "red"),
-        "7412c3738539c12da361fe256f6d22488db1377f399dce716fa9ba97b5bbc0a1",
+        # schema 3; at schema_version 2 this document hashed to 7412c3738539c12d…
+        "fdcee1b002fc0eb13e636e6fd42e72d1e968df9006a415e50700e782ba50c1f6",
         11043, 12198, 5535),
     "lossy_link": (
         lambda: RunSpec(duration=2.0, seed=1, scenario=lossy_link(SMALL_PATH, loss=0.01)),
-        "a1e4dd8613dd379c611b6fcaad4205377533ab3bf79982566aab6b6b6bed41a2",
+        # schema 3; at schema_version 2 this document hashed to a1e4dd8613dd379c…
+        "c0c257bf31bd18bad419fb36a4f0c3809580c0f0ec30e28445d4c461d35126bd",
         4923, 5355, 2426),
 }
 
