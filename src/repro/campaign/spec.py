@@ -25,7 +25,6 @@ from typing import ClassVar
 
 from ..errors import ExperimentError
 from ..spec import ComparisonSpec, MultiFlowSpec, RunSpec, SpecBase, SweepSpec
-from ..spec.specs import _checked, spec_from_dict
 
 __all__ = ["CampaignSpec", "CampaignUnit"]
 
@@ -69,9 +68,9 @@ class CampaignSpec(SpecBase):
     kind: ClassVar[str] = "campaign"
 
     name: str = "campaign"
-    units: tuple = ()
+    units: tuple[RunSpec | ComparisonSpec | MultiFlowSpec, ...] = ()
     experiments: tuple[str, ...] = ()
-    sweeps: tuple = ()
+    sweeps: tuple[SweepSpec, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "units", tuple(self.units))
@@ -131,30 +130,6 @@ class CampaignSpec(SpecBase):
         for sweep in self.sweeps:
             out.extend(_flatten(sweep.name, sweep))
         return out
-
-    # -- serialization ---------------------------------------------------
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignSpec":
-        data = _checked(cls, data)
-        units = tuple(_decode_member(doc, _UNIT_KINDS, "units")
-                      for doc in data.get("units", ()))
-        sweeps = tuple(_decode_member(doc, (SweepSpec,), "sweeps")
-                       for doc in data.get("sweeps", ()))
-        return cls(
-            name=data.get("name", "campaign"),
-            units=units,
-            experiments=tuple(data.get("experiments", ())),
-            sweeps=sweeps,
-        )
-
-
-def _decode_member(doc: dict, allowed: tuple, where: str) -> SpecBase:
-    spec = spec_from_dict(doc)
-    if not isinstance(spec, allowed):
-        raise ExperimentError(
-            f"campaign {where} entries must be one of "
-            f"{sorted(c.kind for c in allowed)} specs, got {spec.kind!r}")
-    return spec
 
 
 def _flatten(label: str, spec: SpecBase) -> list[CampaignUnit]:

@@ -64,6 +64,7 @@ from .experiments.throughput import ThroughputResult
 from .experiments.tuning_ablation import TuningAblationResult
 from .obs import TRACE_CATEGORIES
 from .spec import (
+    BACKENDS,
     ComparisonSpec,
     MultiFlowSpec,
     RunSpec,
@@ -155,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="round-trip time override (ms)")
     parser.add_argument("--ifq", type=int, default=None,
                         help="interface-queue capacity override (packets)")
-    parser.add_argument("--backend", choices=("packet", "fluid"), default=None,
+    parser.add_argument("--backend", choices=BACKENDS, default=None,
                         help="simulation engine: event-driven packet engine "
                              "(ground truth, the default) or the fluid-model "
                              "fast path (per-RTT difference equations, "

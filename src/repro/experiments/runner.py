@@ -260,7 +260,7 @@ def multi_flow_aggregates(
 
 
 # ---------------------------------------------------------------------------
-# packet backend (registered as "packet" in repro.spec.backends)
+# packet backend (the "packet" engine of repro.spec.execute)
 # ---------------------------------------------------------------------------
 
 def execute_packet_run(spec: RunSpec) -> SingleFlowResult:

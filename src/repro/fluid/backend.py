@@ -1,7 +1,7 @@
 """Fluid fast-path backend with the packet backend's result interface.
 
-:func:`execute_fluid_run` is the engine registered as ``"fluid"`` in
-:mod:`repro.spec.backends`: it takes a :class:`repro.spec.RunSpec` and
+:func:`execute_fluid_run` is the ``"fluid"`` engine of
+:func:`repro.spec.execute`: it takes a :class:`repro.spec.RunSpec` and
 returns the same :class:`~repro.experiments.runner.SingleFlowResult`
 dataclass as the packet engine, so renderers, sweeps, parallel batches and
 JSON persistence work identically on both backends.  Quantities the fluid

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -173,20 +173,6 @@ class FlowArrivalSpec:
             raise ExperimentError(
                 f"churned flows need a fluid growth rule; {self.cc!r} has "
                 f"none (supported: {sorted(FLUID_ALGORITHMS)})")
-
-    # -- serialization ---------------------------------------------------
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FlowArrivalSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ExperimentError(
-                f"unknown FlowArrivalSpec field(s): {unknown}; "
-                f"known fields: {sorted(known)}")
-        return cls(**data)
 
     # -- sampling --------------------------------------------------------
     def sample(self, duration: float, streams, n_pairs: int = 1) -> list[ChurnArrival]:

@@ -21,6 +21,9 @@ SPEC005   the ``kind`` tag dispatches back to the same class, and an
 New kinds are covered automatically: the registry is the source of truth,
 and a kind whose defaults cannot construct provides a minimal
 ``example()`` classmethod (see :meth:`repro.spec.SpecBase.example`).
+Every kind decodes through the one annotation-driven
+:meth:`repro.spec.SpecBase.from_dict`, so SPEC002 also fails a kind with a
+field annotation that decoder has no rule for.
 """
 
 from __future__ import annotations
@@ -136,10 +139,11 @@ def _audit_kind(kind: str, cls: type["SpecBase"]) -> list[Finding]:
     else:
         findings.append(_finding(
             kind, "SPEC003",
-            "a document with an unknown field decodes silently; route "
-            "from_dict through repro.spec.specs._checked so typos fail "
-            "loudly instead of being dropped (they would change nothing "
-            "but the user's intent)"))
+            "a document with an unknown field decodes silently; drop the "
+            "from_dict override (SpecBase.from_dict decodes every kind from "
+            "its field annotations and rejects unknown fields) so typos "
+            "fail loudly instead of being dropped (they would change "
+            "nothing but the user's intent)"))
 
     # SPEC004 — cache-key stability across serialization
     key = example.cache_key()

@@ -14,12 +14,6 @@ See the README's "Spec API" section for the JSON schema and the map from
 each removed keyword function to its spec.
 """
 
-from .backends import (
-    available_backends,
-    backend_runner,
-    ensure_backend,
-    register_backend,
-)
 from .execute import execute
 from .scenario import (
     SCENARIO_FACTORIES,
@@ -48,6 +42,7 @@ from .scenario import (
     shared_path,
 )
 from .specs import (
+    BACKENDS,
     SPEC_KINDS,
     ComparisonSpec,
     MultiFlowSpec,
@@ -91,13 +86,10 @@ __all__ = [
     "ensure_fluid_scenario",
     "ensure_fluid_multiflow_scenario",
     "SPEC_KINDS",
+    "BACKENDS",
     "spec_from_dict",
     "spec_from_json",
     "load_spec",
     "dump_spec",
     "execute",
-    "register_backend",
-    "ensure_backend",
-    "backend_runner",
-    "available_backends",
 ]

@@ -1,16 +1,17 @@
 """The single entry point that runs any declarative spec.
 
-:func:`execute` dispatches on the spec's type: a :class:`RunSpec` goes
-straight to its registered backend, the composite specs fan out into
-:class:`RunSpec` derivations (optionally across a process pool via
-``max_workers``).  Every result carries its originating spec on a ``spec``
-attribute — the provenance record that result persistence and cache keying
-build on.
+:func:`execute` dispatches on the spec's type: a :class:`RunSpec` or
+:class:`MultiFlowSpec` goes straight to its backend's engine, the composite
+specs fan out into :class:`RunSpec` derivations (optionally across a process
+pool via ``max_workers``).  Every result carries its originating spec on a
+``spec`` attribute — the provenance record that result persistence and
+cache keying build on.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ExperimentError
@@ -20,7 +21,6 @@ from ..obs.telemetry import (
     memory_tracking_enabled,
     telemetry_session,
 )
-from .backends import backend_runner
 from .scenario import ScenarioSpec
 from .specs import ComparisonSpec, MultiFlowSpec, RunSpec, SpecBase, SweepSpec
 
@@ -34,7 +34,7 @@ def execute(spec: SpecBase, *, max_workers: int | None = None,
             store: "ResultStore | None" = None) -> Any:
     """Run ``spec`` and return its result.
 
-    * :class:`RunSpec` → ``SingleFlowResult`` (via the backend registry);
+    * :class:`RunSpec` → ``SingleFlowResult`` (on its ``backend``'s engine);
     * :class:`ComparisonSpec` → ``ComparisonResult``;
     * :class:`MultiFlowSpec` → ``MultiFlowResult``;
     * :class:`SweepSpec` → ``SweepResult``;
@@ -54,23 +54,10 @@ def execute(spec: SpecBase, *, max_workers: int | None = None,
     if isinstance(spec, ScenarioSpec):
         return execute(MultiFlowSpec(scenario=spec), max_workers=max_workers,
                        store=store)
-    if isinstance(spec, RunSpec):
-        return _stored(store, _execute_run(spec))
+    if isinstance(spec, (RunSpec, MultiFlowSpec)):
+        return _stored(store, _execute_on_engine(spec))
     if isinstance(spec, ComparisonSpec):
         return _execute_comparison(spec, max_workers=max_workers, store=store)
-    if isinstance(spec, MultiFlowSpec):
-        with _instrumented() as telemetry:
-            if spec.backend == "fluid":
-                from ..fluid.backend import execute_fluid_multi_flow
-
-                result = execute_fluid_multi_flow(spec)
-            else:
-                from ..experiments.runner import execute_multi_flow_spec
-
-                result = execute_multi_flow_spec(spec)
-        result.spec = spec
-        result.telemetry = telemetry
-        return _stored(store, result)
     if isinstance(spec, SweepSpec):
         from ..experiments.sweeps import execute_sweep_spec
 
@@ -113,9 +100,20 @@ def _instrumented():
         telemetry.end_memory_tracking()
 
 
-def _execute_run(spec: RunSpec) -> Any:
+#: (spec kind, backend) -> the engine entry point running it, imported on
+#: first use so building and validating specs never loads an engine.
+_ENGINES = {
+    ("run", "packet"): ("repro.experiments.runner", "execute_packet_run"),
+    ("run", "fluid"): ("repro.fluid.backend", "execute_fluid_run"),
+    ("multi_flow", "packet"): ("repro.experiments.runner", "execute_multi_flow_spec"),
+    ("multi_flow", "fluid"): ("repro.fluid.backend", "execute_fluid_multi_flow"),
+}
+
+
+def _execute_on_engine(spec: RunSpec | MultiFlowSpec) -> Any:
+    module, name = _ENGINES[spec.kind, spec.backend]
     with _instrumented() as telemetry:
-        result = backend_runner(spec.backend)(spec)
+        result = getattr(importlib.import_module(module), name)(spec)
     result.spec = spec
     result.telemetry = telemetry
     return result
@@ -133,7 +131,8 @@ def _execute_comparison(spec: ComparisonSpec, *,
         results = map_specs(list(run_specs.values()), max_workers=max_workers)
         runs = dict(zip(run_specs, results))
     else:
-        runs = {cc: _execute_run(run_spec) for cc, run_spec in run_specs.items()}
+        runs = {cc: _execute_on_engine(run_spec)
+                for cc, run_spec in run_specs.items()}
     if store is not None:
         for child in runs.values():
             store.put(child)

@@ -32,7 +32,7 @@ from typing import Callable, NoReturn, Sequence
 
 from ..errors import ExperimentError, UnsupportedScenarioError
 from ..workloads.scenarios import DATA_PORT_BASE, PathConfig
-from .specs import SpecBase, _checked, _construct, _decode_path_config
+from .specs import SpecBase
 
 __all__ = [
     "NodeSpec",
@@ -359,53 +359,6 @@ class CrossTrafficSpec:
 
 
 # ---------------------------------------------------------------------------
-# decoding helpers (strict, mirroring repro.spec.specs conventions)
-# ---------------------------------------------------------------------------
-
-def _decode_loss(data: dict | None) -> LossSpec | None:
-    if data is None:
-        return None
-    return _construct(LossSpec, {**data, "params": dict(data.get("params") or {})})
-
-
-def _decode_queue(value: "int | dict") -> "int | QueueSpec":
-    if isinstance(value, dict):
-        return _construct(QueueSpec,
-                          {**value, "params": dict(value.get("params") or {})})
-    return value
-
-
-def _decode_link(data: dict) -> LinkSpec:
-    decoded = {
-        **data,
-        "loss_ab": _decode_loss(data.get("loss_ab")),
-        "loss_ba": _decode_loss(data.get("loss_ba")),
-    }
-    for key in ("queue_ab_packets", "queue_ba_packets"):
-        if key in decoded:
-            decoded[key] = _decode_queue(decoded[key])
-    return _construct(LinkSpec, decoded)
-
-
-def _decode_topology(data: dict | None) -> TopologySpec | None:
-    if data is None:
-        return None
-    data = dict(data)
-    nodes = tuple(_construct(NodeSpec, n) for n in data.pop("nodes", ()))
-    links = tuple(_decode_link(l) for l in data.pop("links", ()))
-    return _construct(TopologySpec, {**data, "nodes": nodes, "links": links})
-
-
-def _decode_scenario_flow(data: dict) -> FlowSpec:
-    return _construct(FlowSpec,
-                      {**data, "cc_kwargs": dict(data.get("cc_kwargs") or {})})
-
-
-def _decode_cross_traffic(data: dict) -> CrossTrafficSpec:
-    return _construct(CrossTrafficSpec, data)
-
-
-# ---------------------------------------------------------------------------
 # ScenarioSpec
 # ---------------------------------------------------------------------------
 
@@ -514,26 +467,6 @@ class ScenarioSpec(SpecBase):
             if flow.get("ecn") is False:
                 del flow["ecn"]
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        data = _checked(cls, data)
-        return cls(
-            name=data.get("name", "dumbbell"),
-            config=_decode_path_config(data.get("config")),
-            topology=_decode_topology(data.get("topology")),
-            flows=(tuple(_decode_scenario_flow(f) for f in data["flows"])
-                   if data.get("flows") is not None else None),
-            cross_traffic=tuple(_decode_cross_traffic(x)
-                                for x in data.get("cross_traffic", ())),
-        )
-
-
-def decode_scenario(data: dict | None) -> ScenarioSpec | None:
-    """Decode an optional nested scenario document (``None`` passes through)."""
-    if data is None:
-        return None
-    return ScenarioSpec.from_dict(data)
 
 
 # ---------------------------------------------------------------------------

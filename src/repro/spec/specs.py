@@ -27,16 +27,19 @@ import dataclasses
 import enum
 import functools
 import hashlib
+import importlib
 import json
 import pathlib
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, NamedTuple, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fluid.vector import FlowArrivalSpec
     from .scenario import ScenarioSpec
 
-from ..control.pid import PIDGains
 from ..core.config import RestrictedSlowStartConfig, default_gains
 from ..errors import ExperimentError, UnsupportedScenarioError
 from ..tcp.state import LocalCongestionPolicy
@@ -50,6 +53,7 @@ __all__ = [
     "MultiFlowSpec",
     "SweepSpec",
     "SPEC_KINDS",
+    "BACKENDS",
     "spec_from_dict",
     "spec_from_json",
     "load_spec",
@@ -59,6 +63,10 @@ __all__ = [
 #: Maps the ``kind`` discriminator in a spec document to its dataclass.
 SPEC_KINDS: dict[str, type["SpecBase"]] = {}
 
+#: The engines a run spec can select: the event-driven packet simulator
+#: (ground truth) and the per-RTT fluid model (the fast path).
+BACKENDS = ("packet", "fluid")
+
 #: Kinds registered by packages layered *above* repro.spec: importing the
 #: named module registers the class (via ``SpecBase.__init_subclass__``),
 #: so decoding stays lazy and the spec layer keeps importing nothing heavy.
@@ -66,7 +74,7 @@ _LAZY_KINDS = {"campaign": "repro.campaign.spec"}
 
 
 # ---------------------------------------------------------------------------
-# encoding / decoding helpers
+# encoding / decoding
 # ---------------------------------------------------------------------------
 
 def _encode(value: Any) -> Any:
@@ -85,71 +93,165 @@ def _encode(value: Any) -> Any:
     return value
 
 
-def _checked(cls: type, data: dict) -> dict:
-    """Strip the ``kind`` tag and reject unknown field names loudly."""
-    data = {k: v for k, v in data.items() if k != "kind"}
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ExperimentError(
-            f"unknown {cls.__name__} field(s) in spec document: {unknown}; "
-            f"known fields: {sorted(known)}")
-    return data
+#: Classes the spec modules import only for type checking, by the module
+#: defining them.  Field annotations may name them: the decoder imports the
+#: module when it first decodes such a value, so decoding a document
+#: without ``churn`` never loads the fluid engine.
+_TYPING_ONLY = {"ScenarioSpec": "repro.spec.scenario",
+                "FlowArrivalSpec": "repro.fluid.vector"}
+
+#: Annotations whose JSON values decode as they are.
+_SCALARS = (str, int, float, bool)
+
+_Decoder = Callable[[Any], Any]
+_T = TypeVar("_T")
+_S = TypeVar("_S", bound="SpecBase")
 
 
-def _construct(cls: type, data: dict) -> Any:
-    """Build a nested config dataclass, rejecting unknown fields loudly."""
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ExperimentError(
-            f"unknown {cls.__name__} field(s) in spec document: {unknown}; "
-            f"known fields: {sorted(known)}")
-    return cls(**data)
+class _Deferred:
+    """Stands in for a :data:`_TYPING_ONLY` class while hints resolve."""
+
+    module: ClassVar[str] = ""
 
 
-def _decode_path_config(data: dict | None) -> PathConfig:
-    return _construct(PathConfig, data) if data else PathConfig()
+class _Plan(NamedTuple):
+    """How to decode one dataclass: field name -> (decoder or None to take
+    the value as is, whether null takes the default), accepted keys and
+    required fields."""
+
+    fields: dict[str, tuple[_Decoder | None, bool]]
+    accepted: frozenset[str]
+    required: frozenset[str]
 
 
-def _decode_rss(data: dict | None) -> RestrictedSlowStartConfig | None:
-    if data is None:
-        return None
-    gains = data.get("gains")
-    return _construct(RestrictedSlowStartConfig, {
-        **data, "gains": _construct(PIDGains, gains) if gains is not None else None})
-
-
-def _decode_policy(value: str | None) -> LocalCongestionPolicy | None:
-    if value is None:
-        return None
+@functools.cache
+def _plan(cls: type) -> _Plan:
+    """Resolve ``cls``'s field annotations into decoders, once per class."""
+    module = vars(sys.modules[cls.__module__])
+    deferred = {name: type(name, (_Deferred,), {"module": home})
+                for name, home in _TYPING_ONLY.items() if name not in module}
     try:
-        return LocalCongestionPolicy(value)
-    except ValueError:
+        hints = typing.get_type_hints(cls, localns=deferred)
+    except NameError as exc:
         raise ExperimentError(
-            f"unknown local_congestion_policy {value!r}; known: "
-            f"{[p.value for p in LocalCongestionPolicy]}") from None
+            f"cannot resolve the field annotations of {cls.__name__}: {exc}") from None
+    fields: dict[str, tuple[_Decoder | None, bool]] = {}
+    required: set[str] = set()
+    for f in dataclasses.fields(cls):
+        has_factory = f.default_factory is not dataclasses.MISSING
+        if f.default is dataclasses.MISSING and not has_factory:
+            required.add(f.name)
+        # null means "the default" only for None defaults and factory-built
+        # containers/configs, so e.g. a null seed cannot reach an engine
+        fields[f.name] = (_decoder(hints[f.name], f"{cls.__name__}.{f.name}"),
+                          f.default is None or has_factory)
+    tag = {"kind"} if issubclass(cls, SpecBase) else set()
+    return _Plan(fields, frozenset(fields.keys() | tag), frozenset(required))
 
 
-def _decode_flow(data: dict) -> BulkFlowSpec:
-    return _construct(BulkFlowSpec,
-                      {**data, "cc_kwargs": dict(data.get("cc_kwargs") or {})})
+def _decode_dataclass(cls: type[_T], data: Any) -> _T:
+    """Build ``cls`` from its document, each field as its annotation says."""
+    if not isinstance(data, dict):
+        raise ExperimentError(f"a {cls.__name__} document must be a JSON object, "
+                              f"got {type(data).__name__}")
+    plan = _plan(cls)
+    unknown = data.keys() - plan.accepted
+    if unknown:
+        raise ExperimentError(
+            f"unknown {cls.__name__} field(s) in spec document: {sorted(unknown)}; "
+            f"known fields: {sorted(plan.fields)}")
+    missing = plan.required - data.keys()
+    if missing:
+        raise ExperimentError(
+            f"{cls.__name__} document lacks required field(s) {sorted(missing)}")
+    kwargs: dict[str, Any] = {}
+    for name, value in data.items():
+        entry = plan.fields.get(name)
+        if entry is None:  # the kind tag
+            continue
+        decode, nullable = entry
+        if value is None:
+            if nullable:
+                continue
+            raise ExperimentError(
+                f"{cls.__name__} field {name!r} cannot be null; omit it to "
+                "take the default")
+        kwargs[name] = value if decode is None else decode(value)
+    return cls(**kwargs)
 
 
-def _decode_scenario(data: dict | None) -> "ScenarioSpec | None":
-    if data is None:
+def _decoder(tp: Any, where: str) -> _Decoder | None:
+    """How to decode a value annotated ``tp`` (``None``: take it as is)."""
+    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    if tp in _SCALARS:
         return None
-    from .scenario import ScenarioSpec
+    if origin is dict:
+        return lambda value: dict(_expect(value, dict, where))
+    if origin is tuple and (not args or args[1:] == (Ellipsis,)):
+        item = _decoder(args[0], f"{where} entries") if args else None
+        return lambda value: tuple(
+            v if item is None else item(v) for v in _expect(value, (list, tuple), where))
+    if origin in (typing.Union, types.UnionType):
+        members = [a for a in args if a is not type(None)]
+        if len(members) == 1:
+            return _decoder(members[0], where)
+        if all(isinstance(m, type) and issubclass(m, SpecBase) for m in members):
+            return _kind_decoder(tuple(members), where)
+        structured = [m for m in members if m not in _SCALARS]
+        nested = _decoder(structured[0], where) if len(structured) == 1 else None
+        if nested is not None:  # e.g. ``int | QueueSpec``: objects decode
+            return lambda value: nested(value) if isinstance(value, dict) else value
+    elif origin is tp and isinstance(tp, type):
+        if issubclass(tp, _Deferred):
+            return _deferred_decoder(tp, where)
+        if issubclass(tp, enum.Enum):
+            return _enum_decoder(tp, where)
+        if issubclass(tp, SpecBase):
+            return _kind_decoder((tp,), where)
+        if dataclasses.is_dataclass(tp):
+            return functools.partial(_decode_dataclass, tp)
+    raise ExperimentError(
+        f"{where}: the spec decoder has no rule for the annotation {tp!r}; use "
+        "a scalar, an enum, a dataclass, dict, tuple[X, ...], X | None or a "
+        "union of spec kinds")
 
-    return ScenarioSpec.from_dict(data)
+
+def _expect(value: Any, types_: type | tuple[type, ...], where: str) -> Any:
+    if not isinstance(value, types_):
+        raise ExperimentError(f"{where} cannot take a {type(value).__name__}")
+    return value
 
 
-def _decode_churn(data: dict | None) -> "FlowArrivalSpec | None":
-    if data is None:
-        return None
-    from ..fluid.vector import FlowArrivalSpec
+def _enum_decoder(tp: type[enum.Enum], where: str) -> _Decoder:
+    def decode(value: Any) -> enum.Enum:
+        try:
+            return tp(value)
+        except ValueError:
+            raise ExperimentError(
+                f"unknown {where} {value!r}; known: {[m.value for m in tp]}") from None
+    return decode
 
-    return FlowArrivalSpec.from_dict(data)
+
+def _kind_decoder(classes: tuple[type[SpecBase], ...], where: str) -> _Decoder:
+    """Pick the spec class by ``kind`` tag; untagged documents take the first."""
+    by_kind = {c.kind: c for c in classes}
+
+    def decode(value: Any) -> SpecBase:
+        tag = _expect(value, dict, where).get("kind", classes[0].kind)
+        if tag not in by_kind:
+            raise ExperimentError(
+                f"{where} must be one of {sorted(by_kind)} specs, got {tag!r}")
+        return by_kind[tag].from_dict(value)
+    return decode
+
+
+def _deferred_decoder(placeholder: type[_Deferred], where: str) -> _Decoder:
+    """Import a typing-only class when its first value is decoded."""
+    @functools.cache
+    def resolve() -> _Decoder:
+        module = importlib.import_module(placeholder.module)
+        return _decoder(getattr(module, placeholder.__name__), where) or (lambda v: v)
+    return lambda value: resolve()(value)
 
 
 def _adopt_scenario_config(spec: "RunSpec | MultiFlowSpec") -> None:
@@ -175,6 +277,13 @@ def _adopt_scenario_config(spec: "RunSpec | MultiFlowSpec") -> None:
             "scenario dump <name> -o s.json' then 'repro run --scenario "
             "s.json'")
     object.__setattr__(spec, "config", spec.scenario.config)
+
+
+def _ensure_backend(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise ExperimentError(
+            f"unknown backend {backend!r}; choose "
+            + " or ".join(repr(name) for name in BACKENDS))
 
 
 @functools.cache
@@ -277,6 +386,20 @@ class SpecBase:
                 **{f.name: _encode(getattr(self, f.name))
                    for f in dataclasses.fields(self)}}
 
+    @classmethod
+    def from_dict(cls: type[_S], data: dict) -> _S:
+        """Rebuild a spec from its ``to_dict`` document.
+
+        One decoder serves every kind: each field's annotation says how its
+        value decodes (a nested dataclass, ``X | None``, ``tuple[X, ...]``,
+        ``dict``, an enum, ``int | QueueSpec``, or a union of spec kinds
+        picked by the ``kind`` tag, untagged documents taking the first).
+        An absent field takes its default; an unknown field, or a ``null``
+        where the default is neither ``None`` nor a built container/config,
+        raises :class:`~repro.errors.ExperimentError`.
+        """
+        return _decode_dataclass(cls, data)
+
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
@@ -352,8 +475,8 @@ class RunSpec(SpecBase):
         With a finite ``total_bytes``, keep simulating (up to 10× duration)
         until the transfer completes.
     backend:
-        Registered engine name (see :mod:`repro.spec.backends`); validated
-        eagerly so an unknown backend fails before any simulation work.
+        Engine name, one of :data:`BACKENDS`; validated eagerly so an
+        unknown backend fails before any simulation work.
     scenario:
         Optional :class:`~repro.spec.scenario.ScenarioSpec` declaring the
         topology and background workload; ``None`` (the default, and what
@@ -389,9 +512,7 @@ class RunSpec(SpecBase):
         if isinstance(self.local_congestion_policy, str):
             object.__setattr__(self, "local_congestion_policy",
                                LocalCongestionPolicy(self.local_congestion_policy))
-        from .backends import ensure_backend
-
-        ensure_backend(self.backend)
+        _ensure_backend(self.backend)
         if self.scenario is not None:
             _adopt_scenario_config(self)
         if self.backend == "fluid":
@@ -452,27 +573,6 @@ class RunSpec(SpecBase):
         """
         return _set_dotted(self, parameter, value, root=parameter)
 
-    # -- serialization ---------------------------------------------------
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunSpec":
-        data = _checked(cls, data)
-        return cls(
-            cc=data.get("cc", "reno"),
-            config=_decode_path_config(data.get("config")),
-            duration=data.get("duration", 25.0),
-            seed=data.get("seed", 1),
-            total_bytes=data.get("total_bytes"),
-            cc_kwargs=dict(data.get("cc_kwargs") or {}),
-            rss_config=_decode_rss(data.get("rss_config")),
-            local_congestion_policy=_decode_policy(data.get("local_congestion_policy")),
-            trace_interval=data.get("trace_interval"),
-            run_past_duration_until_complete=data.get(
-                "run_past_duration_until_complete", False),
-            backend=data.get("backend", "packet"),
-            scenario=_decode_scenario(data.get("scenario")),
-        )
-
-
 # ---------------------------------------------------------------------------
 # ComparisonSpec
 # ---------------------------------------------------------------------------
@@ -519,17 +619,6 @@ class ComparisonSpec(SpecBase):
 
     def with_seed(self, seed: int) -> "ComparisonSpec":
         return self.replace(base=self.base.with_seed(seed))
-
-    # -- serialization ---------------------------------------------------
-    @classmethod
-    def from_dict(cls, data: dict) -> "ComparisonSpec":
-        data = _checked(cls, data)
-        return cls(
-            base=RunSpec.from_dict(data.get("base") or {}),
-            algorithms=tuple(data.get("algorithms", ("reno", "restricted"))),
-            baseline=data.get("baseline", "reno"),
-        )
-
 
 # ---------------------------------------------------------------------------
 # MultiFlowSpec
@@ -596,10 +685,7 @@ class MultiFlowSpec(SpecBase):
             raise ExperimentError("at least one flow spec is required")
         if self.duration <= 0:
             raise ExperimentError("duration must be positive")
-        if self.backend not in ("packet", "fluid"):
-            raise ExperimentError(
-                f"multi-flow runs support backend 'packet' or 'fluid' "
-                f"(got {self.backend!r})")
+        _ensure_backend(self.backend)
         if self.churn is not None:
             self._ensure_churn_eligible()
         # converting here also rejects an out-of-range path_index when the
@@ -687,21 +773,6 @@ class MultiFlowSpec(SpecBase):
         if data.get("churn") is None:
             data.pop("churn", None)
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MultiFlowSpec":
-        data = _checked(cls, data)
-        return cls(
-            flows=tuple(_decode_flow(f) for f in data.get("flows", ())),
-            config=_decode_path_config(data.get("config")),
-            duration=data.get("duration", 25.0),
-            seed=data.get("seed", 1),
-            shared_paths=data.get("shared_paths", False),
-            scenario=_decode_scenario(data.get("scenario")),
-            backend=data.get("backend", "packet"),
-            churn=_decode_churn(data.get("churn")),
-        )
-
 
 # ---------------------------------------------------------------------------
 # SweepSpec
@@ -848,32 +919,6 @@ class SweepSpec(SpecBase):
     def with_seed(self, seed: int) -> "SweepSpec":
         return self.replace(base=self.base.with_seed(seed))
 
-    # -- serialization ---------------------------------------------------
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        data = _checked(cls, data)
-        field_values = data.get("field_values")
-        base_doc = data.get("base") or {}
-        # the base's "kind" tag picks the spec class (multi_flow bases back
-        # the fairness row style); absent tags decode as the historical
-        # RunSpec layout
-        if base_doc.get("kind") == MultiFlowSpec.kind:
-            base: RunSpec | MultiFlowSpec = MultiFlowSpec.from_dict(base_doc)
-        else:
-            base = RunSpec.from_dict(base_doc)
-        return cls(
-            name=data.get("name", "sweep"),
-            parameter=data.get("parameter", "config.ifq_capacity_packets"),
-            values=tuple(data.get("values", ())),
-            base=base,
-            algorithms=tuple(data.get("algorithms", ("reno", "restricted"))),
-            field_values=tuple(field_values) if field_values is not None else None,
-            parameter_label=data.get("parameter_label"),
-            row_style=data.get("row_style", "comparison"),
-            retune_rss=data.get("retune_rss", False),
-        )
-
-
 # ---------------------------------------------------------------------------
 # document-level helpers
 # ---------------------------------------------------------------------------
@@ -885,8 +930,6 @@ def spec_from_dict(data: Any) -> SpecBase:
             "a spec document must be a JSON object with a 'kind' entry")
     kind = data["kind"]
     if kind not in SPEC_KINDS and kind in _LAZY_KINDS:
-        import importlib
-
         importlib.import_module(_LAZY_KINDS[kind])
     try:
         cls = SPEC_KINDS[kind]

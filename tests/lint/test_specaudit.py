@@ -86,6 +86,17 @@ class TestBrokenKindsAreCaught:
         codes = [f.code for f in findings_for("lint_test_sloppy")]
         assert codes == ["SPEC003"]
 
+    def test_field_type_without_a_decoder_rule(self, registered):
+        @registered
+        @dataclasses.dataclass(frozen=True)
+        class Undecodable(SpecBase):
+            kind: ClassVar[str] = "lint_test_undecodable"
+            tags: frozenset = frozenset()
+
+        findings = findings_for("lint_test_undecodable")
+        assert [f.code for f in findings] == ["SPEC002"]
+        assert "Undecodable.tags" in findings[0].message
+
     def test_audit_code_table_is_complete(self):
         assert sorted(SPEC_AUDIT_CODES) == [
             "SPEC001", "SPEC002", "SPEC003", "SPEC004", "SPEC005"]
