@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from ..errors import ReproError
 from .findings import Finding
@@ -120,7 +120,7 @@ def _audit_kind(kind: str, cls: type["SpecBase"]) -> list[Finding]:
     for f in dataclasses.fields(cls):
         original = getattr(example, f.name)
         rebuilt = getattr(decoded, f.name)
-        if not _equivalent(original, rebuilt):
+        if original != rebuilt:
             findings.append(_finding(
                 kind, "SPEC002",
                 f"field {f.name!r} does not survive to_dict/from_dict: "
@@ -159,17 +159,6 @@ def _audit_kind(kind: str, cls: type["SpecBase"]) -> list[Finding]:
             kind, "SPEC004",
             "cache_key changes across a JSON text round trip"))
     return findings
-
-
-def _equivalent(a: Any, b: Any) -> bool:
-    """Field equality, treating numerically-equal int/float as the same
-    (cache keys canonicalise integral floats, so decoding may too)."""
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
-            and not isinstance(a, bool) and not isinstance(b, bool):
-        return float(a) == float(b)
-    if isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b):
-        return all(_equivalent(x, y) for x, y in zip(a, b))
-    return bool(a == b)
 
 
 def audit_specs() -> list[Finding]:

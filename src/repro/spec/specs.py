@@ -573,6 +573,7 @@ class RunSpec(SpecBase):
         """
         return _set_dotted(self, parameter, value, root=parameter)
 
+
 # ---------------------------------------------------------------------------
 # ComparisonSpec
 # ---------------------------------------------------------------------------
@@ -619,6 +620,7 @@ class ComparisonSpec(SpecBase):
 
     def with_seed(self, seed: int) -> "ComparisonSpec":
         return self.replace(base=self.base.with_seed(seed))
+
 
 # ---------------------------------------------------------------------------
 # MultiFlowSpec
@@ -774,6 +776,7 @@ class MultiFlowSpec(SpecBase):
             data.pop("churn", None)
         return data
 
+
 # ---------------------------------------------------------------------------
 # SweepSpec
 # ---------------------------------------------------------------------------
@@ -918,6 +921,7 @@ class SweepSpec(SpecBase):
 
     def with_seed(self, seed: int) -> "SweepSpec":
         return self.replace(base=self.base.with_seed(seed))
+
 
 # ---------------------------------------------------------------------------
 # document-level helpers
