@@ -18,8 +18,8 @@ Quickstart::
     print(standard.goodput_bps, restricted.goodput_bps)
 
 Every run is described by a declarative, JSON-round-trippable spec
-(:mod:`repro.spec`) dispatched through a backend registry ("packet" —
-event-driven ground truth — or "fluid" — the per-RTT fast path).
+(:mod:`repro.spec`) run on one of two backends ("packet" — event-driven
+ground truth — or "fluid" — the per-RTT fast path).
 ``repro.spec.execute(spec)`` runs one spec and
 ``repro.experiments.map_specs(specs)`` fans a batch out across processes;
 these are the only entry points.  The README's "Spec API" section maps

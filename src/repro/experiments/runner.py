@@ -6,7 +6,7 @@ The unit of work is a declarative, serializable spec (:mod:`repro.spec`):
 :class:`~repro.spec.ComparisonSpec` the same transfer under several
 algorithms with identical seeds, and :class:`~repro.spec.MultiFlowSpec` N
 concurrent flows sharing a bottleneck.  :func:`repro.spec.execute`
-dispatches each through the backend registry; this module implements the
+dispatches each to its backend's engine; this module implements the
 ``packet`` backend (the event-driven ground truth) and the result
 containers every backend returns.
 """

@@ -7,7 +7,7 @@ run costs thousands of arithmetic steps instead of millions of events,
 which makes the E3–E5 style sweeps cheap while the packet engine remains
 the ground truth (see :mod:`repro.fluid.validate` for the agreement gate).
 
-Select it on any spec through the backend registry::
+Select it on any spec with ``backend="fluid"``::
 
     from repro.spec import RunSpec, execute
 
