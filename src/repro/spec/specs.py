@@ -200,7 +200,8 @@ def _decoder(tp: Any, where: str) -> _Decoder | None:
         structured = [m for m in members if m not in _SCALARS]
         nested = _decoder(structured[0], where) if len(structured) == 1 else None
         if nested is not None:  # e.g. ``int | QueueSpec``: objects decode
-            return lambda value: nested(value) if isinstance(value, dict) else value
+            decode_object: _Decoder = nested
+            return lambda value: decode_object(value) if isinstance(value, dict) else value
     elif origin is tp and isinstance(tp, type):
         if issubclass(tp, _Deferred):
             return _deferred_decoder(tp, where)
