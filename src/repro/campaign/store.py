@@ -6,7 +6,7 @@ see :meth:`repro.spec.SpecBase.cache_key`) to the same result document
 is simultaneously a cache hit for the campaign executor and a normal saved
 result any existing consumer (plotting, regression diffs) can load.
 
-Layout (all JSON, human-inspectable)::
+Layout (all JSON; result entries are compact, one line each)::
 
     <root>/
       objects/<key[:2]>/<key>.json   one result document per cache key
@@ -217,7 +217,9 @@ class ResultStore:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(document, handle, indent=2, sort_keys=True)
+                # compact, in one write: json.dumps without indent runs the C
+                # encoder, json.dump(indent=...) the pure-Python one
+                handle.write(json.dumps(document, sort_keys=True, separators=(",", ":")))
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):  # left behind only on failure

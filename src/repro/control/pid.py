@@ -19,10 +19,14 @@ with the features a real deployment needs:
   derivative kick when the set point changes and attenuating packet-level
   noise in the queue-occupancy signal.
 
-:meth:`PIDController.update` runs once per ACK (packet engine) or per
-sub-round chunk (fluid engines), so it reads the gains from floats cached
-when :attr:`PIDController.gains` is assigned.  :class:`PIDGains` is frozen:
-change a controller's gains by assigning a new ``PIDGains`` to ``gains``.
+:meth:`PIDController.update` runs once per ACK in the packet engine, so it
+reads the gains from floats cached when :attr:`PIDController.gains` is
+assigned, and the anti-windup branch and tracking time it applies are
+resolved when ``gains``, ``anti_windup`` or ``tracking_time`` is assigned.
+:class:`PIDGains` is frozen: change a controller's gains by assigning a new
+``PIDGains`` to ``gains``.  The fluid engines' restricted slow-start rule
+(:class:`repro.fluid.model.RestrictedFluid`) runs the same recurrence on its
+own state.
 """
 
 from __future__ import annotations
@@ -33,6 +37,20 @@ from dataclasses import dataclass
 from ..errors import ControlError
 
 __all__ = ["PIDGains", "PIDController"]
+
+_ANTI_WINDUP_MODES = ("back_calculation", "conditional", "none")
+
+
+def _checked_anti_windup(mode: str) -> str:
+    if mode not in _ANTI_WINDUP_MODES:
+        raise ControlError(f"anti_windup must be one of {_ANTI_WINDUP_MODES}, got {mode!r}")
+    return mode
+
+
+def _checked_tracking_time(tracking_time: float | None) -> float | None:
+    if tracking_time is not None and tracking_time <= 0:
+        raise ControlError("tracking_time must be positive")
+    return tracking_time
 
 
 @dataclass(frozen=True)
@@ -104,7 +122,7 @@ class PIDController:
         to the integral time ``Ti`` implied by the gains.
     """
 
-    ANTI_WINDUP_MODES = ("back_calculation", "conditional", "none")
+    ANTI_WINDUP_MODES = _ANTI_WINDUP_MODES
 
     def __init__(
         self,
@@ -120,19 +138,13 @@ class PIDController:
             raise ControlError("output_min must not exceed output_max")
         if derivative_filter_tau < 0:
             raise ControlError("derivative_filter_tau must be >= 0")
-        if anti_windup not in self.ANTI_WINDUP_MODES:
-            raise ControlError(
-                f"anti_windup must be one of {self.ANTI_WINDUP_MODES}, got {anti_windup!r}"
-            )
-        if tracking_time is not None and tracking_time <= 0:
-            raise ControlError("tracking_time must be positive")
+        self._anti_windup = _checked_anti_windup(anti_windup)
+        self._tracking_time = _checked_tracking_time(tracking_time)
         self.gains = gains
         self.setpoint = float(setpoint)
         self.output_min = output_min
         self.output_max = output_max
         self.derivative_filter_tau = float(derivative_filter_tau)
-        self.anti_windup = anti_windup
-        self.tracking_time = tracking_time
         self._integral = 0.0
         self._prev_pv: float | None = None
         self._filtered_pv: float | None = None
@@ -165,6 +177,42 @@ class PIDController:
         self._kp = gains.kp
         self._ki = gains.ki
         self._kd = gains.kd
+        self._resolve_anti_windup()
+
+    @property
+    def anti_windup(self) -> str:
+        """Anti-windup mode, one of :attr:`ANTI_WINDUP_MODES`."""
+        return self._anti_windup
+
+    @anti_windup.setter
+    def anti_windup(self, mode: str) -> None:
+        self._anti_windup = _checked_anti_windup(mode)
+        self._resolve_anti_windup()
+
+    @property
+    def tracking_time(self) -> float | None:
+        """Back-calculation tracking time; ``None`` means ``Ti = kp / ki``."""
+        return self._tracking_time
+
+    @tracking_time.setter
+    def tracking_time(self, tracking_time: float | None) -> None:
+        self._tracking_time = _checked_tracking_time(tracking_time)
+        self._resolve_anti_windup()
+
+    def _resolve_anti_windup(self) -> None:
+        # Which integral update :meth:`update` runs, decided once per change
+        # of gains, mode or tracking time rather than on every call.
+        # ``_tt`` is the back-calculation tracking time, or ``None`` when the
+        # integral takes no correction: another mode, ki = 0 (no integral
+        # action to wind up), or a zero or infinite tracking time.
+        ki = self._ki
+        tt = None
+        if self._anti_windup == "back_calculation" and ki > 0.0:
+            tt = self._tracking_time if self._tracking_time is not None else self._kp / ki
+            if not (tt > 0 and tt != math.inf):
+                tt = None
+        self._tt = tt
+        self._conditional = self._anti_windup == "conditional"
 
     def update(self, pv: float, dt: float) -> float:
         """Advance the controller by ``dt`` seconds with measurement ``pv``.
@@ -210,15 +258,12 @@ class PIDController:
             saturated = output_min
         else:
             saturated = unsaturated
-        anti_windup = self.anti_windup
-        if anti_windup == "back_calculation" and ki > 0.0:
-            # bleed the integral toward consistency with the clamped output;
-            # the tracking time defaults to Ti = kp / ki
-            tt = self.tracking_time if self.tracking_time is not None else kp / ki
-            if tt > 0 and tt != math.inf:
-                candidate_integral += (saturated - unsaturated) * dt / tt
-            integral = candidate_integral
-        elif anti_windup == "conditional" and unsaturated != saturated:
+        tt = self._tt
+        if tt is not None:
+            # back-calculation: bleed the integral toward consistency with
+            # the clamped output (the tracking time defaults to Ti = kp / ki)
+            integral = candidate_integral + (saturated - unsaturated) * dt / tt
+        elif self._conditional and unsaturated != saturated:
             # output is saturated: only integrate if doing so drives the
             # output back toward the linear region
             if (unsaturated > saturated and error < 0) or (unsaturated < saturated and error > 0):

@@ -36,9 +36,9 @@ standing queue live.  Per round trip:
   (halve, freeze one round).
 
 Growth is applied in sub-round chunks so that the restricted-slow-start
-controller — the *real* :class:`repro.control.pid.PIDController`, fed the
-modelled occupancy fraction — samples the occupancy ramp at a resolution
-comparable to the packet-level ACK clock.
+controller — the packet engine's :class:`repro.control.pid.PIDController`
+recurrence, fed the modelled occupancy fraction — samples the occupancy ramp
+at a resolution comparable to the packet-level ACK clock.
 
 The model is deterministic by construction (pure arithmetic, no random
 streams): ``seed`` is carried through to results for interface parity with
@@ -48,14 +48,24 @@ Cost
 ----
 The chunk loop is the cost of every fluid sweep and campaign.  A round
 runs at most ``_MAX_CHUNKS`` (256) chunks, and each chunk below ``ssthresh``
-makes one call into the growth rule: for restricted slow-start, one
-:meth:`~repro.control.pid.PIDController.update`.  The loop keeps the window,
-``ssthresh``, the queue and the peaks in locals and writes them back to the
-model when it ends.  Mid-loop only a stall reduction reads or writes model
-state, so the window and the queue are written back before one and the
-window and ``ssthresh`` reloaded after it.  This relies on the
-:meth:`FluidGrowthRule.increment` contract: a rule sees the model only
-through its arguments.
+makes one call into the growth rule.  For restricted slow-start that call
+is the whole controller evaluation: :class:`RestrictedFluid` runs the PID
+recurrence on its own state instead of calling
+:meth:`~repro.control.pid.PIDController.update`, with the anti-windup
+branch and bounds resolved when the rule is built.  A differential test
+(``tests/fluid/test_restricted_recurrence.py``) pins it to the controller
+bit for bit.
+
+:class:`FluidFlowModel`'s loop keeps the window, ``ssthresh``, the queue and
+the peaks in locals and writes them back to the model when it ends.
+Mid-loop only a stall reduction reads or writes model state, so the window
+and the queue are written back before one and the window and ``ssthresh``
+reloaded after it.  :class:`FluidMultiFlowModel`'s round keeps the same
+discipline per flow: the allocator's shares, the IFQ queues and peaks and
+the per-IFQ drains live in per-round lists, the growth of each chunk runs
+inline, and a flow's window is written back to it as it grows, so a stall
+reduction sees it.  Both rely on the :meth:`FluidGrowthRule.increment`
+contract: a rule sees the model only through its arguments.
 """
 
 from __future__ import annotations
@@ -67,8 +77,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import RestrictedSlowStartConfig
-from ..control.pid import PIDController
-from ..errors import ConfigurationError, ExperimentError
+from ..errors import ConfigurationError, ControlError, ExperimentError
 from ..metrics import FlowRecord, PopulationSummary, SummaryAccumulator
 from ..obs.trace import active_trace_bus
 from ..tcp.options import TCPOptions
@@ -126,9 +135,9 @@ class FluidGrowthRule:
         """Window increment granted for one chunk of ``acked`` segments.
 
         A rule receives everything it needs as arguments and must never
-        read or write the model's state: :class:`FluidFlowModel` keeps that
-        state in locals for the whole chunk loop, so a rule reading it would
-        see stale values and a rule writing it would be overwritten.
+        read or write the model's state: the models keep that state in
+        locals for the whole chunk loop, so a rule reading it would see
+        stale values and a rule writing it would be overwritten.
         """
         raise NotImplementedError
 
@@ -140,8 +149,9 @@ class FluidGrowthRule:
         queue-sensing rules override this to sample finely.
 
         The grain is a property of the rule's *configuration*, not of its
-        running state: :class:`~repro.fluid.vector.FluidPopulationModel`
-        reads it once per flow when the model is built and never again.
+        running state: :class:`FluidMultiFlowModel` and
+        :class:`~repro.fluid.vector.FluidPopulationModel` read it once per
+        flow when the model is built and never again.
         """
         return math.inf
 
@@ -153,6 +163,8 @@ class FluidGrowthRule:
         pins the sustained queue at the set point, which decides — as a
         property of the *configuration* — whether delayed-ACK bursts on top
         of the regulated queue can ever overrun the capacity.
+        :class:`FluidMultiFlowModel` reads it once per flow when the model
+        is built.
         """
         return None
 
@@ -162,8 +174,8 @@ class FluidGrowthRule:
         It must do nothing for a rule whose :meth:`increment` has not run
         since the rule was built or since its last ``on_reduction``:
         :class:`~repro.fluid.vector.FluidPopulationModel` skips the call
-        for such rules.  :class:`RestrictedFluid` qualifies, because a
-        controller reset restores exactly the state it was built with.
+        for such rules.  :class:`RestrictedFluid` qualifies, because its
+        reset restores exactly the state it was built with.
         """
 
 
@@ -196,11 +208,19 @@ class LimitedSlowStartFluid(FluidGrowthRule):
 
 
 class RestrictedFluid(FluidGrowthRule):
-    """The paper's PID-restricted slow-start, driving the real controller.
+    """The paper's PID-restricted slow-start on the fluid occupancy.
 
-    The same :class:`~repro.control.pid.PIDController` the packet-level
-    algorithm deploys is fed the fluid occupancy fraction, so gains tuned
-    for one backend are directly meaningful in the other.
+    The rule runs the recurrence of the packet-level algorithm's
+    :class:`~repro.control.pid.PIDController` itself, fed the fluid
+    occupancy fraction, so gains tuned for one backend are directly
+    meaningful in the other.  Its state (the integral and the previous,
+    optionally filtered, occupancy) lives on the rule, and the recurrence is
+    specialised at construction to the controller every
+    :class:`RestrictedSlowStartConfig` builds: both output bounds set and
+    back-calculation anti-windup with the tracking time ``kp / ki``.  Every
+    operation is the controller's, in the controller's order, so the output
+    equals ``PIDController.update``'s bit for bit
+    (``tests/fluid/test_restricted_recurrence.py``).
     """
 
     name = "restricted"
@@ -214,17 +234,24 @@ class RestrictedFluid(FluidGrowthRule):
         #: controller suffers when the set-point headroom shrinks below one
         #: ACK's worth of growth (tiny IFQs).
         self.ack_quantum = float(ack_quantum)
-        gains = self.config.resolved_gains()
-        self.pid = PIDController(
-            gains,
-            setpoint=self.config.setpoint_fraction,
-            output_min=self.config.min_increment_per_ack,
-            output_max=self.config.max_increment_per_ack,
-            derivative_filter_tau=self.config.derivative_filter_tau,
-        )
-        # the config is frozen: read the per-chunk fields once
-        self._guard = self.config.hard_setpoint_guard
-        self._setpoint = self.config.setpoint_fraction
+        # the config is frozen: resolve the recurrence's constants once
+        config = self.config
+        gains = config.resolved_gains()
+        self._kp = gains.kp
+        self._ki = gains.ki
+        self._kd = gains.kd
+        self._tau = float(config.derivative_filter_tau)
+        self._out_min = config.min_increment_per_ack
+        self._out_max = config.max_increment_per_ack
+        #: back-calculation tracking time Tt = kp / ki, ``None`` when the
+        #: integral takes no correction (ki = 0, or Tt zero or infinite)
+        tt = gains.kp / gains.ki if gains.ki > 0.0 else 0.0
+        self._tt = tt if tt > 0 and tt != math.inf else None
+        self._setpoint = float(config.setpoint_fraction)
+        self._guard = config.hard_setpoint_guard
+        self._integral = 0.0
+        #: previous (filtered) occupancy; ``None`` until the first update
+        self._last: float | None = None
 
     def grain(self, capacity: int) -> float:
         # Sample the occupancy ramp at roughly the resolution of the set
@@ -236,9 +263,52 @@ class RestrictedFluid(FluidGrowthRule):
 
     def increment(self, acked: float, cwnd: float, occupancy_fraction: float,
                   capacity: int, dt: float) -> float:
-        output = self.pid.update(occupancy_fraction, dt)
+        if dt <= 0:
+            raise ControlError(f"dt must be positive, got {dt!r}")
+        pv = occupancy_fraction
+        error = self._setpoint - pv
+        p_term = self._kp * error
+
+        # derivative on the measurement, optionally filtered
+        last = self._last
+        if last is None:
+            filtered = pv
+            d_term = 0.0
+        else:
+            tau = self._tau
+            if tau > 0:
+                filtered = last + dt / (tau + dt) * (pv - last)
+            else:
+                filtered = pv
+            kd = self._kd
+            # repro: allow[REP003] kd is a configured gain, not a computed value; 0.0 disables the term as in PIDController
+            d_term = 0.0 if kd == 0.0 else -kd * (filtered - last) / dt
+        self._last = filtered
+
+        # integral with back-calculation anti-windup
+        integral = self._integral + self._ki * error * dt
+        unsaturated = p_term + integral + d_term
+        out_max = self._out_max
+        out_min = self._out_min
+        if out_min <= unsaturated <= out_max:
+            # linear region: the correction is zero and the output is
+            # ``unsaturated`` (the integral is never -0.0, so adding the
+            # zero correction would not change a bit)
+            output = unsaturated
+        else:
+            saturated = out_max if unsaturated > out_max else out_min
+            tt = self._tt
+            if tt is not None:
+                integral += (saturated - unsaturated) * dt / tt
+            output = p_term + integral + d_term
+            if output > out_max:
+                output = out_max
+            elif output < out_min:
+                output = out_min
+        self._integral = integral
+
         guard = self._guard
-        if guard and occupancy_fraction >= self._setpoint and output > 0.0:
+        if guard and pv >= self._setpoint and output > 0.0:
             output = 0.0
         delta = output * acked
         if guard and delta > 0.0 and capacity > 0:
@@ -247,7 +317,7 @@ class RestrictedFluid(FluidGrowthRule):
             # grant before the guard engages.  Bound the coarser fluid chunk
             # the same way, or a saturated controller could leap from below
             # the set point straight past it in a single chunk.
-            headroom = (self._setpoint - occupancy_fraction) * capacity
+            headroom = (self._setpoint - pv) * capacity
             if headroom < 0.0:
                 headroom = 0.0
             bound = headroom + output * self.ack_quantum
@@ -262,7 +332,8 @@ class RestrictedFluid(FluidGrowthRule):
 
     def on_reduction(self) -> None:
         if self.config.reset_integral_on_congestion:
-            self.pid.reset()
+            self._integral = 0.0
+            self._last = None
 
 
 #: Fluid growth rules by packet-registry algorithm name.  ``newreno`` maps
@@ -807,16 +878,24 @@ class _FlowState:
     The window arithmetic (slow-start/CA crossover, trimming controllers,
     stall and loss reactions) mirrors :class:`FluidFlowModel` flow-for-flow;
     what differs is *who feeds it*: acknowledged segments arrive as the
-    bottleneck allocator's share instead of ``min(W, pipe)``.
+    bottleneck allocator's share instead of ``min(W, pipe)``.  The growth
+    itself runs inline in :meth:`FluidMultiFlowModel._run_round`.
     """
 
-    def __init__(self, spec: FluidFlowInput, options: TCPOptions, rtt: float) -> None:
+    def __init__(self, spec: FluidFlowInput, options: TCPOptions, rtt: float,
+                 capacity: int) -> None:
         self.spec = spec
         self.rule = spec.rule
         self.options = options
         #: data flows one handshake round trip after the app starts
         self.data_start = spec.start_time + rtt
         self.rwnd_segments = options.rwnd_bytes / options.mss
+        # The rule's grain and sustained-queue ceiling are properties of its
+        # configuration (see FluidGrowthRule), so they are read once here.
+        # ``grain`` is ``None`` for rules that do not ask for fine chunks.
+        grain = self.rule.grain(capacity)
+        self.grain = grain if math.isfinite(grain) and grain > 0 else None
+        self.ceiling = self.rule.sustained_queue_ceiling(capacity)
         self.cwnd = float(options.initial_cwnd_segments)
         if options.initial_ssthresh_segments is None:
             self.ssthresh = math.inf
@@ -839,46 +918,6 @@ class _FlowState:
     @property
     def window(self) -> float:
         return min(self.cwnd, self.rwnd_segments)
-
-    def active(self, now: float) -> bool:
-        if self.done or self.data_start > now + 1e-12:
-            return False
-        # a stop at (or before) this instant means no further data rounds —
-        # in particular a stop_time inside the handshake round moves nothing
-        stop = self.spec.stop_time
-        return stop is None or now < stop - 1e-12
-
-    def frozen(self, now: float) -> bool:
-        return now < self.freeze_until - 1e-12
-
-    def remaining_segments(self) -> float:
-        if self.spec.total_bytes is None:
-            return math.inf
-        return max(self.spec.total_bytes - self.bytes_acked, 0) / self.options.mss
-
-    # -- window growth (one chunk) ----------------------------------------
-    def grow(self, acked: float, dt: float, occupancy_fraction: float,
-             capacity: int) -> float:
-        """Apply one chunk of growth; returns packets injected above the
-        ACK clock (negative when a trimming controller drains)."""
-        before = self.cwnd
-        if self.cwnd < self.ssthresh:
-            delta = self.rule.increment(acked, self.cwnd, occupancy_fraction,
-                                        capacity, dt)
-            if delta < 0.0:
-                floor = max(1.0, float(self.options.initial_cwnd_segments))
-                self.cwnd = max(self.cwnd + delta, floor)
-                return self.cwnd - before
-            grown = self.cwnd + delta
-            if grown > self.ssthresh:
-                overshoot = grown - self.ssthresh
-                self.cwnd = self.ssthresh + overshoot / max(self.ssthresh, 1.0)
-            else:
-                self.cwnd = grown
-        else:
-            self.cwnd += acked / max(self.cwnd, 1.0)
-        self.max_cwnd = max(self.max_cwnd, self.cwnd)
-        return max(self.cwnd - before, 0.0)
 
     # -- reductions --------------------------------------------------------
     def _flight(self, ifq_queue: float, capacity: int, pipe: float) -> float:
@@ -915,16 +954,12 @@ class _FlowState:
 
 
 class _SenderIFQ:
-    """One sender interface queue, possibly shared by several flows."""
+    """One sender interface queue, possibly shared by several flows; every
+    queue has the path's IFQ capacity."""
 
-    def __init__(self, capacity: int) -> None:
-        self.capacity = int(capacity)
+    def __init__(self) -> None:
         self.queue = 0.0
         self.peak = 0.0
-
-    def note_peak(self, jitter: float) -> None:
-        self.peak = max(self.peak,
-                        min(self.queue + jitter, float(self.capacity)))
 
 
 class FluidMultiFlowModel:
@@ -973,9 +1008,10 @@ class FluidMultiFlowModel:
         self.mss = self.options.mss
         self.ack_jitter = max(float(self.options.delack_segments) - 1.0, 0.0)
         rtt = config.rtt
-        self.flows = [_FlowState(spec, self.options, rtt) for spec in flows]
+        self.flows = [_FlowState(spec, self.options, rtt, self.capacity)
+                      for spec in flows]
         self.ifqs: dict[int, _SenderIFQ] = {
-            spec.ifq: _SenderIFQ(self.capacity) for spec in flows}
+            spec.ifq: _SenderIFQ() for spec in flows}
         self.bottleneck_loss_events = 0
         self.steps = 0
 
@@ -991,107 +1027,196 @@ class FluidMultiFlowModel:
         return sorted(cuts)
 
     def _run_round(self, now: float, rtt: float, fraction: float) -> None:
+        # Round state lives in locals and per-round lists indexed like
+        # ``active`` (see Cost in the module docstring).  Float operations
+        # keep their operand order: the fluid goldens and the scalar/vector
+        # parity suite pin the results bit for bit.
         span = rtt * fraction
-        active = [st for st in self.flows if st.active(now)]
+        started = now + 1e-12
+        active = []
+        for st in self.flows:
+            # a stop at (or before) this instant means no further data
+            # rounds — in particular a stop_time inside the handshake round
+            # moves nothing
+            if st.done or st.data_start > started:
+                continue
+            stop = st.spec.stop_time
+            if stop is None or now < stop - 1e-12:
+                active.append(st)
         if not active:
             return
-        windows = {st: st.window for st in active}
-        total = sum(windows.values())
-        saturated = total > self.pipe * (1.0 + _SATURATION_EPS)
+        pipe = self.pipe
+        mss = self.mss
+        capacity = self.capacity
+        cap = float(capacity)
+        windows = [min(st.cwnd, st.rwnd_segments) for st in active]
+        total = sum(windows)
+        saturated = total > pipe * (1.0 + _SATURATION_EPS)
 
         # --- bottleneck allocator: acked segments per flow this span ----
-        full: dict[_FlowState, float] = {}
-        acked: dict[_FlowState, float] = {}
-        for st in active:
+        full = []
+        acked = []
+        for st, window in zip(active, windows):
             if saturated and total > 0:
-                share = self.pipe * fraction * windows[st] / total
+                share = pipe * fraction * window / total
             else:
-                share = windows[st] * fraction
-            full[st] = share
-            acked[st] = min(share, st.remaining_segments())
+                share = window * fraction
+            full.append(share)
+            total_bytes = st.spec.total_bytes
+            if total_bytes is not None:
+                remaining = max(total_bytes - st.bytes_acked, 0) / mss
+                if remaining < share:
+                    share = remaining
+            acked.append(share)
 
         # --- per-IFQ bookkeeping -----------------------------------------
-        by_ifq: dict[int, list[_FlowState]] = {}
-        for st in active:
-            by_ifq.setdefault(st.spec.ifq, []).append(st)
+        # IFQs in order of their first active flow; ``slot`` indexes them
+        groups: dict[int, list[int]] = {}
+        for j, st in enumerate(active):
+            groups.setdefault(st.spec.ifq, []).append(j)
+        ifqs = [self.ifqs[key] for key in groups]
+        members = list(groups.values())
+        slot = {key: k for k, key in enumerate(groups)}
+        queues = [ifq.queue for ifq in ifqs]
+        peaks = [ifq.peak for ifq in ifqs]
         # ACK-clock rate through each sender NIC (segments per RTT) and the
         # slack left for draining growth bursts.  Below saturation the
         # bursts are clocked at line rate (no within-round slack at all);
         # the end-of-round relaxation drains them instead.
-        clock = {key: sum(acked[st] for st in members) / fraction
-                 for key, members in by_ifq.items()}
-        slack = {key: (max(self.pipe - clock[key], 0.0) if saturated else 0.0)
-                 for key in by_ifq}
+        clock = [sum([acked[j] for j in group]) / fraction for group in members]
 
         # --- growth, chunked so queue-sensing rules sample the ramp ------
         substeps = _MIN_CHUNKS
-        for st in active:
-            grain = st.rule.grain(self.ifqs[st.spec.ifq].capacity)
-            if math.isfinite(grain) and grain > 0 and acked[st] > 0:
-                substeps = max(substeps, int(math.ceil(acked[st] / grain)))
-        substeps = min(substeps, _MAX_CHUNKS)
+        for st, share in zip(active, acked):
+            grain = st.grain
+            if grain is not None and share > 0:
+                n = int(math.ceil(share / grain))
+                if n > substeps:
+                    substeps = n
+        if substeps > _MAX_CHUNKS:
+            substeps = _MAX_CHUNKS
         dt = span / substeps
+        drains = [(max(pipe - rate, 0.0) if saturated else 0.0) * fraction / substeps
+                  for rate in clock]
+        # the flows that grow: (flow, IFQ slot, acked segments per chunk)
+        growers = [(st, slot[st.spec.ifq], share / substeps)
+                   for st, share in zip(active, acked) if share > 0.0]
 
-        stalled_ifqs: set[int] = set()
-        round_frozen = {st: st.frozen(now) for st in active}
+        round_frozen = [now < st.freeze_until - 1e-12 for st in active]
+        stalled: set[int] = set()
+        stall_level = capacity - _STALL_EPS
+        jitter = self.ack_jitter
+        floor = max(1.0, float(self.options.initial_cwnd_segments))
+        steps = self.steps
         for s in range(substeps):
             t_sub = now + dt * (s + 1)
-            injected_by_ifq: dict[int, list[tuple[float, _FlowState]]] = {}
-            for st in active:
-                if st.frozen(t_sub - dt) or acked[st] <= 0.0:
+            t_prev = t_sub - dt
+            touched = []
+            grown = []
+            for st, k, chunk in growers:
+                if t_prev < st.freeze_until - 1e-12:
                     continue
-                ifq = self.ifqs[st.spec.ifq]
-                self.steps += 1
-                injected = st.grow(
-                    acked[st] / substeps, dt,
-                    ifq.queue / ifq.capacity if ifq.capacity else 0.0,
-                    ifq.capacity)
-                ifq.queue = max(ifq.queue + injected, 0.0)
-                injected_by_ifq.setdefault(st.spec.ifq, []).append((injected, st))
-            for key, contributions in injected_by_ifq.items():
-                ifq = self.ifqs[key]
-                drain = slack[key] * fraction / substeps
+                steps += 1
+                q = queues[k]
+                cwnd = before = st.cwnd
+                ssthresh = st.ssthresh
+                # One chunk of window growth.  ``injected`` is the net
+                # packets sent above the ACK clock (negative when a trimming
+                # controller lets the queue drain).
+                if cwnd < ssthresh:
+                    delta = st.rule.increment(chunk, cwnd,
+                                              q / capacity if capacity else 0.0,
+                                              capacity, dt)
+                    if delta < 0.0:
+                        cwnd += delta
+                        if cwnd < floor:
+                            cwnd = floor
+                        st.cwnd = cwnd
+                        injected = cwnd - before
+                    else:
+                        cwnd += delta
+                        if cwnd > ssthresh:
+                            # finish slow-start exactly at ssthresh, the
+                            # remainder grows linearly
+                            cwnd = ssthresh + (cwnd - ssthresh) / (1.0 if 1.0 > ssthresh else ssthresh)
+                        st.cwnd = cwnd
+                        if cwnd > st.max_cwnd:
+                            st.max_cwnd = cwnd
+                        injected = cwnd - before
+                        if injected < 0.0:
+                            injected = 0.0
+                else:
+                    # congestion avoidance: ~one segment per round trip
+                    cwnd += chunk / (1.0 if 1.0 > cwnd else cwnd)
+                    st.cwnd = cwnd
+                    if cwnd > st.max_cwnd:
+                        st.max_cwnd = cwnd
+                    injected = cwnd - before
+                    if injected < 0.0:
+                        injected = 0.0
+                q += injected
+                queues[k] = 0.0 if q < 0.0 else q
+                if k not in touched:
+                    touched.append(k)
+                grown.append((k, injected, st))
+            for k in touched:
+                q = queues[k]
+                drain = drains[k]
                 if drain > 0.0:
-                    ifq.queue = max(ifq.queue - drain, 0.0)
-                ifq.note_peak(self.ack_jitter)
-                if ifq.queue > ifq.capacity - _STALL_EPS:
-                    ifq.queue = min(ifq.queue, float(ifq.capacity))
+                    q -= drain
+                    if q < 0.0:
+                        q = 0.0
+                peak = q + jitter
+                if peak > cap:
+                    peak = cap
+                if peak > peaks[k]:
+                    peaks[k] = peak
+                if q > stall_level:
+                    if q > cap:
+                        q = cap
                     # attribute the rejected enqueue to the flow that grew
                     # the most this sub-step (ties: the largest window)
-                    culprit = max(contributions,
-                                  key=lambda item: (item[0], item[1].window))[1]
-                    culprit.reduce_on_stall(t_sub, rtt, ifq.queue,
-                                            ifq.capacity, self.pipe)
-                    stalled_ifqs.add(key)
+                    culprit = max([item for item in grown if item[0] == k],
+                                  key=lambda item: (item[1], item[2].window))[2]
+                    culprit.reduce_on_stall(t_sub, rtt, q, capacity, pipe)
+                    stalled.add(k)
+                queues[k] = q
+        self.steps = steps
 
         # --- end of round: relax bursts toward the standing level --------
-        ifq_standing: dict[int, float] = {}
-        for key, members in by_ifq.items():
-            ifq = self.ifqs[key]
-            if clock[key] >= self.pipe * (1.0 - 1e-9):
-                target = max(sum(windows[st] for st in members) - self.pipe, 0.0)
+        decay = math.exp(-fraction)
+        delack = float(self.options.delack_segments)
+        boundary = capacity - delack
+        ifq_standing = []
+        for k, group in enumerate(members):
+            if clock[k] >= pipe * (1.0 - 1e-9):
+                target = max(sum([windows[j] for j in group]) - pipe, 0.0)
             else:
                 target = 0.0
-            if ifq.queue > target:
-                ifq.queue = max(target + (ifq.queue - target) * math.exp(-fraction), 0.0)
-            ifq.queue = min(ifq.queue, float(ifq.capacity))
-            ifq.note_peak(0.0)
-            ifq_standing[key] = min(target, float(ifq.capacity))
+            q = queues[k]
+            if q > target:
+                q = max(target + (q - target) * decay, 0.0)
+            if q > cap:
+                q = cap
+            queues[k] = q
+            if q > peaks[k]:
+                peaks[k] = q
+            ifq_standing.append(min(target, cap))
 
             # sustained-queue rejection: a standing queue so close to the
             # capacity that delayed-ACK bursts strictly overrun it (same
             # boundary arithmetic as the single-flow model)
-            if key in stalled_ifqs:
+            if k in stalled:
                 continue
-            unfrozen = [st for st in members if not round_frozen[st]]
+            unfrozen = [active[j] for j in group if not round_frozen[j]]
             if not unfrozen:
                 continue
-            sustained = min(ifq.queue, target)
-            delack = float(self.options.delack_segments)
-            boundary = ifq.capacity - delack
+            sustained = min(q, target)
             ceiling = None
-            if len(members) == 1 and members[0].cwnd < members[0].ssthresh:
-                ceiling = members[0].rule.sustained_queue_ceiling(ifq.capacity)
+            if len(group) == 1:
+                st = active[group[0]]
+                if st.cwnd < st.ssthresh:
+                    ceiling = st.ceiling
             if ceiling is not None:
                 rejects = (ceiling > boundary + _STALL_EPS
                            and sustained >= ceiling - _SUSTAIN_MARGIN)
@@ -1099,26 +1224,29 @@ class FluidMultiFlowModel:
                 rejects = sustained > boundary + _SUSTAIN_MARGIN
             if rejects:
                 for st in unfrozen:
-                    st.reduce_on_stall(now + span, rtt, ifq.queue,
-                                       ifq.capacity, self.pipe)
+                    st.reduce_on_stall(now + span, rtt, q, capacity, pipe)
+        for ifq, q, peak in zip(ifqs, queues, peaks):
+            ifq.queue = q
+            ifq.peak = peak
 
         # --- shared router buffer: synchronized loss on overflow ---------
-        router_standing = max(total - self.pipe - sum(ifq_standing.values()), 0.0)
+        router_standing = max(total - pipe - sum(ifq_standing), 0.0)
         if router_standing > self.router_buffer:
-            losers = [st for st in active if not st.frozen(now + span)]
+            end = now + span
+            losers = [st for st in active if not end < st.freeze_until - 1e-12]
             if losers:
                 self.bottleneck_loss_events += 1
                 for st in losers:
-                    ifq = self.ifqs[st.spec.ifq]
-                    st.reduce_on_loss(now + span, rtt, ifq.queue,
-                                      ifq.capacity, self.pipe)
+                    st.reduce_on_loss(end, rtt, queues[slot[st.spec.ifq]],
+                                      capacity, pipe)
 
         # --- delivery accounting ------------------------------------------
-        for st in active:
-            st.bytes_acked += int(round(acked[st] * self.mss))
-            if (st.spec.total_bytes is not None and st.completion_time is None
-                    and st.bytes_acked >= st.spec.total_bytes):
-                used = acked[st] / full[st] if full[st] > 0 else 1.0
+        for st, share, offered in zip(active, acked, full):
+            st.bytes_acked += int(round(share * mss))
+            total_bytes = st.spec.total_bytes
+            if (total_bytes is not None and st.completion_time is None
+                    and st.bytes_acked >= total_bytes):
+                used = share / offered if offered > 0 else 1.0
                 st.completion_time = now + span * min(used, 1.0)
                 st.done = True
 

@@ -17,9 +17,9 @@ array-wide passes:
 * slow-start/congestion-avoidance growth (Reno and RFC 3742 limited
   slow-start) is evaluated as masked array arithmetic.
 
-Flows whose growth rule is *stateful* (the restricted controller's real
-:class:`~repro.control.pid.PIDController`, or any third-party rule) stay on
-a Python side-channel, batched once per sub-round chunk — they read and
+Flows whose growth rule is *stateful* (the restricted rule's PID
+recurrence, :class:`~repro.fluid.model.RestrictedFluid`, or any third-party
+rule) stay on a Python side-channel, batched once per sub-round chunk — they read and
 update the same occupancy arrays, so regulated flows can ride inside a
 vectorized population.  The side-channel's cost scales with the side flows
 that are *active* in a round (and, within a chunk, with the *eligible*

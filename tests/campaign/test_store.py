@@ -54,6 +54,25 @@ class TestPutGet:
         leftovers = list(store.objects_dir.glob("**/*.tmp"))
         assert leftovers == []
 
+    def test_entries_are_compact_json_of_the_document(self, store, fluid_result):
+        document = result_document(fluid_result)
+        key = store.put_document(document)
+        text = store.path_for(key).read_text()
+        assert text == json.dumps(document, sort_keys=True, separators=(",", ":"))
+        assert store.get(key) == json.loads(json.dumps(document))
+
+    def test_indented_entry_written_the_old_way_is_a_hit(self, store, fluid_result):
+        # entries used to be written with json.dump(indent=2); readers parse
+        # with json, so a store filled that way keeps serving hits
+        document = result_document(fluid_result)
+        key = document["cache_key"]
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True)
+        with path.open("w") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+        assert store.get(key) == json.loads(json.dumps(document))
+        assert store.hits == 1 and store.misses == 0
+
     def test_malformed_key_rejected(self, store):
         with pytest.raises(ExperimentError):
             store.get("not-a-key")

@@ -317,6 +317,24 @@ class TestPinnedOutputSequence:
         expected = self.EXPECTED[("back_calculation", 0.0, None)]
         assert self._trace(pid) == expected
 
+    def test_assigned_anti_windup_and_tracking_time_take_effect(self):
+        # update() resolves its anti-windup branch when these are assigned,
+        # not per call: an assignment must still act like a fresh controller
+        pid = self._controller(self.GAINS, anti_windup="none")
+        pid.anti_windup = "back_calculation"
+        assert self._trace(pid) == self.EXPECTED[("back_calculation", 0.0, None)]
+        pid.reset()
+        pid.tracking_time = 0.2
+        assert self._trace(pid) == self.EXPECTED[("back_calculation", 0.0, 0.2)]
+        pid.reset()
+        pid.anti_windup = "conditional"
+        pid.tracking_time = None
+        assert self._trace(pid) == self.EXPECTED[("conditional", 0.0, None)]
+        with pytest.raises(ControlError):
+            pid.anti_windup = "magic"
+        with pytest.raises(ControlError):
+            pid.tracking_time = 0.0
+
     def test_zero_kp_disables_back_calculation(self):
         # the implied tracking time kp/ki is 0: no bleed, same as "none"
         gains = PIDGains(kp=0.0, ki=400.0)

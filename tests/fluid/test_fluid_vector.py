@@ -512,7 +512,15 @@ class TestChurnDispatch:
         inputs = _churn_inputs(churn, SMALL_PATH, 2.0, seed=1, n_pairs=2)
         assert len(inputs) > 1
         assert len({id(f.rule.config) for f in inputs}) == 1
-        assert len({id(f.rule.pid) for f in inputs}) == len(inputs)
+        # advancing one flow's controller leaves every other flow's output
+        # as a fresh controller's
+        first, others = inputs[0].rule, [f.rule for f in inputs[1:]]
+        for pv in (0.2, 0.6, 0.95, 1.0, 0.7):
+            first.increment(1.0, 10.0, pv, 20, 0.01)
+        fresh = RestrictedFluid(first.config, ack_quantum=first.ack_quantum)
+        expected = [fresh.increment(1.0, 10.0, pv, 20, 0.01) for pv in (0.3, 0.5)]
+        for rule in others:
+            assert [rule.increment(1.0, 10.0, pv, 20, 0.01) for pv in (0.3, 0.5)] == expected
 
     def test_churn_requires_fluid_backend(self):
         with pytest.raises(UnsupportedScenarioError, match="churn"):
