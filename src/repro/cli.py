@@ -312,22 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--rule", default="allcock_modified")
 
     validate = sub.add_parser(
-        "validate", help="cross-validate the fluid fast path against the "
-                         "packet engine (single-flow grid, then the "
-                         "multi-flow fairness grid)")
-    validate.add_argument("--duration", type=float, default=3.0)
-    validate.add_argument("--points", type=int, default=None,
-                          help="limit the validation grid to the first N points")
-    validate.add_argument("--skip-fairness", action="store_true",
-                          help="run only the single-flow grid")
-    validate.add_argument("--fairness-duration", type=float, default=None,
-                          help="multi-flow mix horizon (default 20 s, where "
-                               "the Jain tolerance is tuned)")
-    validate.add_argument("--store", default=None, metavar="DIR",
-                          help="serve grid points from (and record them "
-                               "into) this content-addressed result store, "
-                               "so reruns of an unchanged grid are "
-                               "incremental")
+        "validate", help="cross-validate the fluid fast path: the "
+                         "single-flow and multi-flow grids against the "
+                         "packet engine, then the vector fluid engine "
+                         "against the scalar one")
+    from .fluid.validate import add_validate_arguments
+
+    add_validate_arguments(validate)
 
     return parser
 
@@ -673,20 +664,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"error: validate runs the fixed cross-validation grid on both "
               f"backends; {', '.join(ignored)} cannot apply", file=sys.stderr)
         return 2
-    from .fluid.validate import main as validate_main
+    from .fluid.validate import run_validate
 
-    argv = ["--duration", str(args.duration)]
-    if args.points is not None:
-        argv += ["--points", str(args.points)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.skip_fairness:
-        argv += ["--skip-fairness"]
-    if args.fairness_duration is not None:
-        argv += ["--fairness-duration", str(args.fairness_duration)]
-    if args.store is not None:
-        argv += ["--store", args.store]
-    return validate_main(argv)
+    return run_validate(args)
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:

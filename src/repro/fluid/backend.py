@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from ..core.config import RestrictedSlowStartConfig
-from ..errors import ExperimentError
+from ..errors import ExperimentError, UnsupportedScenarioError
 from ..obs import telemetry as obs
 from ..spec import RunSpec
 from ..workloads.scenarios import PathConfig
@@ -60,20 +60,11 @@ VECTOR_FLOW_THRESHOLD = 32
 def execute_fluid_run(spec: RunSpec):
     """Run one bulk transfer on the per-RTT fluid model.
 
-    A declared ``scenario`` must be the canonical single-flow dumbbell: any
-    other shape (multi-bottleneck graph, extra flows, cross traffic,
-    per-link loss, asymmetric rates) raises
-    :class:`~repro.errors.UnsupportedScenarioError` naming the feature —
-    eagerly, before any model step.  ``RunSpec`` already performs the same
-    check at construction time; repeating it here keeps the backend safe
-    for callers invoking it directly.
+    A declared ``scenario`` is one flow on the canonical dumbbell: a
+    fluid ``RunSpec`` cannot be built on any other shape (see
+    :func:`~repro.spec.scenario.fluid_unsupported_features`).
     """
     from ..experiments.runner import SingleFlowResult
-
-    if spec.scenario is not None:
-        from ..spec.scenario import ensure_fluid_scenario
-
-        ensure_fluid_scenario(spec.scenario)
 
     if spec.trace_interval is not None:
         warnings.warn(
@@ -232,10 +223,12 @@ def execute_fluid_multi_flow(spec, engine: str | None = None):
     """Run a :class:`~repro.spec.MultiFlowSpec` on the coupled fluid model.
 
     The model runs the spec's
-    :meth:`~repro.spec.MultiFlowSpec.resolved_scenario`, which must pass
-    :func:`~repro.spec.scenario.ensure_fluid_multiflow_scenario`.  Returns
-    the same :class:`~repro.experiments.runner.MultiFlowResult` the packet
-    engine produces, tagged ``backend="fluid"``.
+    :meth:`~repro.spec.MultiFlowSpec.resolved_scenario`, which a fluid
+    ``MultiFlowSpec`` guarantees is a canonical dumbbell; each flow injects
+    into the IFQ of the pair :func:`~repro.spec.scenario.dumbbell_shape`
+    places it on.  Returns the same
+    :class:`~repro.experiments.runner.MultiFlowResult` the packet engine
+    produces, tagged ``backend="fluid"``.
 
     ``engine`` selects the integrator: ``"scalar"``
     (:class:`FluidMultiFlowModel`), ``"vector"``
@@ -245,22 +238,22 @@ def execute_fluid_multi_flow(spec, engine: str | None = None):
     :data:`VECTOR_FLOW_THRESHOLD`.  A declared ``churn`` population
     (:class:`~repro.fluid.vector.FlowArrivalSpec`) is sampled here,
     deterministically from the spec's seed, and appended to the declared
-    flows round-robin over the scenario's dumbbell pairs.
+    flows round-robin over the topology's dumbbell pairs.
     """
     from ..experiments.runner import MultiFlowResult, multi_flow_aggregates
-    from ..spec.scenario import _dumbbell_pair_index, ensure_fluid_multiflow_scenario
+    from ..spec.scenario import dumbbell_shape
 
+    if spec.backend != FLUID_BACKEND:
+        raise UnsupportedScenarioError(
+            "the fluid engine runs MultiFlowSpecs built with backend='fluid', "
+            f"which are checked when built; got backend={spec.backend!r}")
     with obs.span("compile"):
         scenario = spec.resolved_scenario()
-        ensure_fluid_multiflow_scenario(scenario)
+        shape = dumbbell_shape(scenario)
 
         cfg = scenario.config
-        inputs = []
-        pairs = []
-        for i, flow in enumerate(scenario.flows):
-            pair = _dumbbell_pair_index(flow)
-            pairs.append(pair)
-            inputs.append(FluidFlowInput(
+        inputs = [
+            FluidFlowInput(
                 name=f"flow{i}:{flow.cc}",
                 cc=flow.cc,
                 rule=_multiflow_rule(flow, cfg),
@@ -268,12 +261,13 @@ def execute_fluid_multi_flow(spec, engine: str | None = None):
                 start_time=flow.start_time,
                 stop_time=flow.stop_time,
                 total_bytes=flow.total_bytes,
-            ))
+            )
+            for i, (flow, pair) in enumerate(zip(scenario.flows, shape.pairs))]
 
         churn = getattr(spec, "churn", None)
         if churn is not None:
             inputs.extend(_churn_inputs(churn, cfg, spec.duration, spec.seed,
-                                        n_pairs=max(pairs) + 1))
+                                        n_pairs=shape.n_pairs))
 
         if engine is None:
             engine = ("vector" if churn is not None

@@ -30,12 +30,17 @@ fairness index within ``jain_atol`` (**±0.05**), and per-flow goodput
 *ordering* preserved (who gets more must not flip between engines beyond a
 noise margin).
 
-Run ``python -m repro.fluid.validate`` for a smoke check (used by CI); it
-runs both grids and exits non-zero on any disagreement.
+:func:`cross_validate_population` then checks the vectorized population
+engine against the scalar multi-flow engine on the same flow mixes.
+
+Run ``repro validate`` or ``python -m repro.fluid.validate`` (one entry
+point, the same options) for the gate CI runs: it runs all three grids and
+exits non-zero on any disagreement.
 """
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -59,6 +64,8 @@ __all__ = [
     "PopulationValidationRow",
     "PopulationValidationReport",
     "cross_validate_population",
+    "add_validate_arguments",
+    "run_validate",
 ]
 
 #: Algorithms whose fluid counterparts are validated.
@@ -610,23 +617,17 @@ def cross_validate_population(
     return report
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Smoke entry point: ``python -m repro.fluid.validate``.
+def add_validate_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the gate's options to ``parser`` (shared with the repro CLI).
 
-    Also backs the ``repro validate`` CLI subcommand, so there is exactly
-    one implementation of the gate.  The seed defaults to the one the
-    tolerances were tuned at.  Runs the single-flow grid and then the
-    multi-flow fairness grid; either disagreeing fails the check.
+    ``--seed`` is left to the caller: ``repro`` takes it as a global flag.
     """
-    import argparse
-
-    parser = argparse.ArgumentParser(description="fluid-vs-packet cross-validation")
-    parser.add_argument("--duration", type=float, default=3.0)
-    parser.add_argument("--seed", type=int, default=2)
+    parser.add_argument("--duration", type=float, default=3.0,
+                        help="single-flow grid horizon (simulated seconds)")
     parser.add_argument("--points", type=int, default=None,
-                        help="limit the grid to the first N points")
+                        help="limit the single-flow grid to the first N points")
     parser.add_argument("--skip-fairness", action="store_true",
-                        help="run only the single-flow grid")
+                        help="skip the fluid-vs-packet multi-flow grid")
     parser.add_argument("--skip-population", action="store_true",
                         help="skip the scalar-vs-vector fluid engine grid")
     parser.add_argument("--fairness-duration", type=float, default=20.0,
@@ -637,7 +638,16 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="serve grid points from (and record them into) "
                              "this content-addressed result store, making "
                              "reruns of an unchanged grid incremental")
-    args = parser.parse_args(argv)
+
+
+def run_validate(args: argparse.Namespace) -> int:
+    """Run the gate for a parsed invocation; returns the process exit code.
+
+    Runs the single-flow grid, the multi-flow fairness grid and the
+    scalar-vs-vector population grid; any one disagreeing fails the check.
+    An unset ``args.seed`` takes the seed the tolerances were tuned at.
+    """
+    seed = 2 if args.seed is None else args.seed
     store = None
     if args.store is not None:
         from ..campaign import ResultStore
@@ -647,25 +657,42 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.points is not None:
         grid = grid[: args.points]
     # interactive/CI entry point: fan the packet runs out over processes
-    report = cross_validate(grid=grid, duration=args.duration, seed=args.seed,
+    report = cross_validate(grid=grid, duration=args.duration, seed=seed,
                             max_workers=None, store=store)
     print(report.render())
     ok = report.ok
     if not args.skip_fairness:
         fairness = cross_validate_fairness(
-            duration=args.fairness_duration, seed=args.seed, max_workers=None,
+            duration=args.fairness_duration, seed=seed, max_workers=None,
             store=store)
         print(fairness.render())
         ok = ok and fairness.ok
     if not args.skip_population:
         population = cross_validate_population(
-            duration=args.fairness_duration, seed=args.seed)
+            duration=args.fairness_duration, seed=seed)
         print(population.render())
         ok = ok and population.ok
     if store is not None:
         print(f"result store: {store.hits} hits, {store.misses} misses "
               f"({store.root})")
     return 0 if ok else 1
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Module entry point: ``python -m repro.fluid.validate``.
+
+    Takes the same options as ``repro validate`` (see
+    :func:`add_validate_arguments`), so there is one gate with one
+    interface.
+    """
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.fluid.validate",
+        description="fluid-vs-packet cross-validation")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="simulation seed (default 2, where the "
+                             "tolerances were tuned)")
+    add_validate_arguments(parser)
+    return run_validate(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI

@@ -29,8 +29,6 @@ from .scenario import (
     asymmetric_path,
     available_scenarios,
     dumbbell,
-    ensure_fluid_multiflow_scenario,
-    ensure_fluid_scenario,
     fluid_multiflow_unsupported_features,
     fluid_unsupported_features,
     from_bulk_flows,
@@ -83,8 +81,6 @@ __all__ = [
     "available_scenarios",
     "fluid_unsupported_features",
     "fluid_multiflow_unsupported_features",
-    "ensure_fluid_scenario",
-    "ensure_fluid_multiflow_scenario",
     "SPEC_KINDS",
     "BACKENDS",
     "spec_from_dict",

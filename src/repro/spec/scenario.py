@@ -27,12 +27,13 @@ paper's testbed byte-for-byte.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
-from ..errors import ExperimentError, UnsupportedScenarioError
+from ..errors import ExperimentError
 from ..workloads.scenarios import DATA_PORT_BASE, PathConfig
-from .specs import SpecBase
+from .specs import SpecBase, _fluid_algorithms
 
 __all__ = [
     "NodeSpec",
@@ -55,11 +56,10 @@ __all__ = [
     "SCENARIO_FACTORIES",
     "scenario_factory",
     "available_scenarios",
-    "rebuild_canonical_scenario",
+    "DumbbellShape",
+    "dumbbell_shape",
     "fluid_unsupported_features",
     "fluid_multiflow_unsupported_features",
-    "ensure_fluid_scenario",
-    "ensure_fluid_multiflow_scenario",
 ]
 
 _ROLES = ("host", "router")
@@ -823,34 +823,43 @@ def scenario_factory(name: str) -> Callable[..., ScenarioSpec]:
 
 
 # ---------------------------------------------------------------------------
-# fluid-backend shape validation
+# the canonical dumbbell — the shape the fluid engines model
 # ---------------------------------------------------------------------------
 
-def _dumbbell_pair_index(flow: FlowSpec) -> int | None:
-    """Pair index ``k`` if the flow runs on a canonical senderK→receiverK pair."""
-    src, dst = flow.src, flow.dst
-    if src.startswith("sender") and dst.startswith("receiver"):
-        i, j = src[len("sender"):], dst[len("receiver"):]
-        if i == j and i.isdigit():
-            return int(i)
-    return None
+class DumbbellShape(NamedTuple):
+    """A scenario read as the canonical N-pair dumbbell (see :func:`dumbbell_shape`)."""
+
+    #: ``sender<k>`` hosts the topology declares
+    n_pairs: int
+    #: each flow's pair ``k``; ``None`` unless the scenario is canonical
+    pairs: tuple[int, ...] | None
+    #: why the scenario is not canonical, one named feature each
+    features: list[str]
 
 
-def _fluid_shape_features(spec: ScenarioSpec, n_pairs: int, *,
-                          check_canonical: bool = True) -> list[str]:
-    """Topology/workload features outside the canonical N-pair dumbbell.
+def _is_pair_host(name: str, prefix: str) -> bool:
+    """Whether ``name`` is ``<prefix>k`` for a pair index ``k``."""
+    return name.startswith(prefix) and name[len(prefix):].isdigit()
 
-    The shape is *derived from the gallery factory itself*: after the
-    feature-by-feature checks (which produce precise messages for the
-    gallery's asymmetric/lossy variants), the declared topology must equal
-    ``_dumbbell_topology(config, n_pairs)`` byte-for-byte — exactly what
-    :func:`dumbbell`/:func:`shared_path` would have generated — so any
-    hand-written deviation (re-sized queues, extra links, off-rate access
-    links) is rejected rather than silently run through the symmetric
-    no-loss arithmetic.
+
+def dumbbell_shape(spec: ScenarioSpec) -> DumbbellShape:
+    """Read ``spec`` as the canonical N-pair dumbbell, N from its topology.
+
+    N counts the topology's ``sender<k>`` hosts.  The scenario is canonical
+    when it has no cross traffic, every flow runs ``sender<k>`` →
+    ``receiver<k>``, and the topology equals ``_dumbbell_topology(config,
+    N)`` — what :func:`dumbbell`, :func:`shared_path` and
+    :func:`from_bulk_flows` generate, whichever pairs the flows use.  A
+    canonical scenario gets each flow's pair; any other gets its features
+    outside that shape, named one by one.  The generic "differs from the
+    canonical N-pair dumbbell" (naming the first link that differs) is used
+    only when no named feature explains the rejection, so a hand-written
+    deviation is rejected too rather than run through the symmetric no-loss
+    arithmetic.
     """
-    features: list[str] = []
     topo = spec.topology
+    n_pairs = sum(_is_pair_host(host, "sender") for host in topo.host_names)
+    features: list[str] = []
     if spec.cross_traffic:
         features.append("cross traffic")
     n_routers = len(topo.router_names)
@@ -868,42 +877,57 @@ def _fluid_shape_features(spec: ScenarioSpec, n_pairs: int, *,
         features.append(
             "AQM queue disciplines (declarative QueueSpec queues: "
             + ", ".join(disciplines) + ")")
-    if any(flow.ecn for flow in spec.flows):
-        features.append("ECN-enabled flows")
     if any(link.rate_ba_bps is not None for link in topo.links):
         features.append("asymmetric link rates")
     if topo.routing_weight is not None:
         features.append("delay-weighted routing")
-    # the byte-for-byte factory comparison only carries information when no
-    # named feature already explains the rejection — and callers whose own
-    # checks fired (e.g. a flow-count mismatch) suppress it outright, since
-    # "differs from the canonical N-pair dumbbell" would be judged against
-    # the wrong N and mislead
-    if check_canonical and not features \
-            and topo != _dumbbell_topology(spec.config, n_pairs):
-        features.append(
-            f"a topology that differs from the canonical {n_pairs}-pair "
-            "dumbbell for its config")
+    pairs = []
+    for i, flow in enumerate(spec.flows):
+        k = flow.src[len("sender"):]
+        if not _is_pair_host(flow.src, "sender") or flow.dst != f"receiver{k}":
+            features.append(
+                f"flow {i} ({flow.src}->{flow.dst}) off the canonical "
+                "sender<k>->receiver<k> pairs")
+        else:
+            pairs.append(int(k))
+    if not features:
+        canonical = _dumbbell_topology(spec.config, n_pairs)
+        if topo != canonical:
+            differs = "its nodes"
+            for have, want in itertools.zip_longest(topo.links, canonical.links):
+                if have != want:
+                    link = have or want
+                    differs = f"link {link.name or f'{link.a}--{link.b}'!r}"
+                    break
+            features.append(
+                f"a topology that differs from the canonical {n_pairs}-pair "
+                f"dumbbell for its config (first difference: {differs})")
+    return DumbbellShape(n_pairs, None if features else tuple(pairs), features)
+
+
+def _fluid_dumbbell_features(spec: ScenarioSpec) -> list[str]:
+    """The canonical-dumbbell features plus ECN, which no fluid engine models."""
+    features = dumbbell_shape(spec).features
+    if any(flow.ecn for flow in spec.flows):
+        features.append("ECN-enabled flows")
     return features
 
 
 def fluid_unsupported_features(spec: ScenarioSpec) -> list[str]:
     """Which declared features the *single-flow* fluid model cannot represent.
 
-    The single-flow fluid backend (``RunSpec(backend="fluid")``) models
-    exactly the canonical single-flow dumbbell (sender IFQ → one bottleneck
-    → receiver) parameterised by the scenario's ``config``; the declared
-    flow's ``start_time`` (delayed app launch) and ``duration`` stop are
-    honoured.  Returns an empty list when the scenario is fluid-expressible.
-    Multi-flow dumbbells are checked by
-    :func:`fluid_multiflow_unsupported_features` instead.
+    The single-flow fluid backend (``RunSpec(backend="fluid")``) models one
+    flow on the canonical dumbbell (sender IFQ → one bottleneck → receiver)
+    parameterised by the scenario's ``config``; the declared flow's
+    ``start_time`` (delayed app launch) and ``duration`` stop are honoured,
+    and its algorithm is the ``RunSpec``'s own ``cc``.  Returns an empty
+    list when the scenario is fluid-expressible.  Multi-flow dumbbells are
+    checked by :func:`fluid_multiflow_unsupported_features` instead.
     """
-    features: list[str] = []
+    features = _fluid_dumbbell_features(spec)
     if len(spec.flows) != 1:
-        features.append(f"{len(spec.flows)} flows (the single-flow model; "
-                        "run it through MultiFlowSpec(backend='fluid'))")
-    features.extend(_fluid_shape_features(spec, 1,
-                                          check_canonical=not features))
+        features.insert(0, f"{len(spec.flows)} flows (the single-flow model; "
+                           "run it through MultiFlowSpec(backend='fluid'))")
     return features
 
 
@@ -912,74 +936,17 @@ def fluid_multiflow_unsupported_features(spec: ScenarioSpec) -> list[str]:
 
     The multi-flow model covers every flow mix on the canonical N-pair
     dumbbell — including :func:`shared_path` (all flows on one pair, sharing
-    the sender IFQ), staggered ``start_time`` values, per-flow ``duration``
-    stops and finite ``total_bytes`` — coupled through a proportional
-    ACK-clock share of the bottleneck.  Everything else (multi-bottleneck
-    graphs, loss models, asymmetric rates, cross traffic, non-canonical
-    link parameters, algorithms without a fluid growth rule) is named here.
+    the sender IFQ), idle pairs, staggered ``start_time`` values, per-flow
+    ``duration`` stops and finite ``total_bytes`` — coupled through a
+    proportional ACK-clock share of the bottleneck.  Everything else
+    (multi-bottleneck graphs, loss models, asymmetric rates, cross traffic,
+    non-canonical link parameters, algorithms without a fluid growth rule)
+    is named here.
     """
-    from ..fluid.model import FLUID_ALGORITHMS
-
-    features: list[str] = []
-    pair_indices: list[int] = []
-    unsupported_ccs: set[str] = set()
-    for i, flow in enumerate(spec.flows):
-        pair = _dumbbell_pair_index(flow)
-        if pair is None:
-            features.append(
-                f"flow {i} ({flow.src}->{flow.dst}) off the canonical "
-                "sender<k>->receiver<k> pairs")
-        else:
-            pair_indices.append(pair)
-        if flow.cc not in FLUID_ALGORITHMS:
-            unsupported_ccs.add(flow.cc)
-    for cc in sorted(unsupported_ccs):
+    features = _fluid_dumbbell_features(spec)
+    algorithms = _fluid_algorithms()
+    for cc in sorted({flow.cc for flow in spec.flows} - set(algorithms)):
         features.append(
             f"algorithm {cc!r}, which has no growth rule (fluid growth "
-            f"rules: {sorted(FLUID_ALGORITHMS)})")
-    if not features:
-        features.extend(_fluid_shape_features(spec, max(pair_indices) + 1))
+            f"rules: {list(algorithms)})")
     return features
-
-
-def rebuild_canonical_scenario(spec: ScenarioSpec,
-                               config: PathConfig) -> ScenarioSpec | None:
-    """Rebuild a canonical N-pair dumbbell scenario on a new path config.
-
-    A dumbbell/shared-path scenario's topology is a pure function of its
-    config (it is exactly what :func:`_dumbbell_topology` generates), so —
-    unlike arbitrary hand-written graphs — it can be re-derived for a new
-    config without desynchronising link rates and queue capacities from
-    the TCP options.  Returns ``None`` when the scenario is not canonical
-    (cross traffic, off-pair flows, or a non-factory topology); callers
-    then fall back to rejecting the override.
-    """
-    pairs = [_dumbbell_pair_index(flow) for flow in spec.flows]
-    if any(pair is None for pair in pairs):
-        return None
-    n_pairs = max(pairs) + 1
-    if spec.cross_traffic or spec.topology != _dumbbell_topology(spec.config, n_pairs):
-        return None
-    return ScenarioSpec(name=spec.name, config=config,
-                        topology=_dumbbell_topology(config, n_pairs),
-                        flows=spec.flows)
-
-
-def ensure_fluid_scenario(spec: ScenarioSpec) -> None:
-    """Raise :class:`UnsupportedScenarioError` unless single-flow fluid can run ``spec``."""
-    features = fluid_unsupported_features(spec)
-    if features:
-        raise UnsupportedScenarioError(
-            f"the fluid backend models only the canonical single-flow "
-            f"dumbbell; scenario {spec.name!r} declares " + "; ".join(features)
-            + " — run it on the packet backend instead")
-
-
-def ensure_fluid_multiflow_scenario(spec: ScenarioSpec) -> None:
-    """Raise :class:`UnsupportedScenarioError` unless multi-flow fluid can run ``spec``."""
-    features = fluid_multiflow_unsupported_features(spec)
-    if features:
-        raise UnsupportedScenarioError(
-            f"the multi-flow fluid backend models only flow mixes on the "
-            f"canonical N-pair dumbbell; scenario {spec.name!r} declares "
-            + "; ".join(features) + " — run it on the packet backend instead")

@@ -299,6 +299,35 @@ def _fluid_algorithms() -> tuple[str, ...]:
     return tuple(sorted(FLUID_ALGORITHMS))
 
 
+def _reject_unless_fluid(scenario: "ScenarioSpec", features: list[str],
+                         model: str) -> None:
+    """Raise :class:`UnsupportedScenarioError` naming ``features``, if any."""
+    if features:
+        raise UnsupportedScenarioError(
+            f"{model}; scenario {scenario.name!r} declares "
+            + "; ".join(features) + " — run it on the packet backend instead")
+
+
+def _with_config(spec: Any, config: PathConfig) -> Any:
+    """``spec`` (a ``RunSpec`` or ``MultiFlowSpec``) on a new path config.
+
+    A canonical dumbbell scenario re-derives its topology from ``config``
+    exactly as its factory would, so the uniform path overrides (CLI flags,
+    test shrinking) apply cleanly; any other scenario keeps
+    :func:`_adopt_scenario_config`'s conflict error.
+    """
+    scenario = spec.scenario
+    if scenario is not None:
+        from .scenario import _dumbbell_topology, dumbbell_shape
+
+        shape = dumbbell_shape(scenario)
+        if not shape.features:
+            scenario = scenario.replace(
+                config=config,
+                topology=_dumbbell_topology(config, shape.n_pairs))
+    return spec.replace(config=config, scenario=scenario)
+
+
 def _canonical_numbers(value: Any) -> Any:
     """Map integral floats to ints so equal specs serialise identically."""
     if isinstance(value, float) and value.is_integer():
@@ -530,9 +559,12 @@ class RunSpec(SpecBase):
                 f"the fluid backend has no growth rule for {self.cc!r}; "
                 f"supported: {list(_fluid_algorithms())} (use backend='packet')")
         if self.scenario is not None:
-            from .scenario import ensure_fluid_scenario
+            from .scenario import fluid_unsupported_features
 
-            ensure_fluid_scenario(self.scenario)
+            _reject_unless_fluid(
+                self.scenario, fluid_unsupported_features(self.scenario),
+                "the fluid backend models only the canonical single-flow "
+                "dumbbell")
 
     def resolved_scenario(self) -> "ScenarioSpec":
         """The scenario this run places its transfer on.
@@ -556,7 +588,7 @@ class RunSpec(SpecBase):
         return self.replace(backend=backend)
 
     def with_config(self, config: PathConfig) -> "RunSpec":
-        return self.replace(config=config)
+        return _with_config(self, config)
 
     def with_duration(self, duration: float) -> "RunSpec":
         return self.replace(duration=duration)
@@ -648,8 +680,9 @@ class MultiFlowSpec(SpecBase):
     ``backend`` selects the engine: ``"packet"`` (event-driven ground
     truth) or ``"fluid"`` (the N-flow coupled per-RTT model — the fairness
     fast path).  Fluid eligibility is validated eagerly: flow mixes on the
-    canonical N-pair dumbbell (including ``shared_path`` sharing, staggered
-    starts, per-flow durations) are accepted, anything else raises
+    canonical N-pair dumbbell, N read from its topology (including
+    ``shared_path`` sharing, idle pairs, staggered starts, per-flow
+    durations), are accepted, anything else raises
     :class:`~repro.errors.UnsupportedScenarioError` naming the feature.
 
     ``churn`` (a :class:`~repro.fluid.vector.FlowArrivalSpec`) adds an
@@ -695,9 +728,12 @@ class MultiFlowSpec(SpecBase):
         # spec is built, whatever the backend
         scenario = self.resolved_scenario()
         if self.backend == "fluid":
-            from .scenario import ensure_fluid_multiflow_scenario
+            from .scenario import fluid_multiflow_unsupported_features
 
-            ensure_fluid_multiflow_scenario(scenario)
+            _reject_unless_fluid(
+                scenario, fluid_multiflow_unsupported_features(scenario),
+                "the multi-flow fluid backend models only flow mixes on the "
+                "canonical N-pair dumbbell")
 
     def _ensure_churn_eligible(self) -> None:
         """Eager checks for an open-loop churn population."""
@@ -740,16 +776,7 @@ class MultiFlowSpec(SpecBase):
         return self.replace(backend=backend)
 
     def with_config(self, config: PathConfig) -> "MultiFlowSpec":
-        if self.scenario is not None:
-            from .scenario import rebuild_canonical_scenario
-
-            rebuilt = rebuild_canonical_scenario(self.scenario, config)
-            if rebuilt is not None:
-                # canonical dumbbells re-derive their topology from the new
-                # config exactly as their factory would, so the uniform
-                # path overrides (CLI flags, test shrinking) apply cleanly
-                return self.replace(scenario=rebuilt, config=config)
-        return self.replace(config=config)
+        return _with_config(self, config)
 
     def with_duration(self, duration: float) -> "MultiFlowSpec":
         return self.replace(duration=duration)

@@ -23,7 +23,6 @@ from repro.spec import (
     MultiFlowSpec,
     asymmetric_path,
     dumbbell,
-    ensure_fluid_multiflow_scenario,
     execute,
     fluid_multiflow_unsupported_features,
     lossy_link,
@@ -181,7 +180,7 @@ class TestMultiflowGate:
             shared_path(SMALL_PATH, 3, ccs="reno"),
         ):
             assert fluid_multiflow_unsupported_features(scenario) == []
-            ensure_fluid_multiflow_scenario(scenario)  # no raise
+            MultiFlowSpec(scenario=scenario, backend="fluid")  # no raise
 
     def test_accepts_flow_durations(self):
         scenario = dumbbell(SMALL_PATH, 2, ccs="reno")
@@ -212,6 +211,42 @@ class TestMultiflowGate:
             flows=base.flows)
         features = fluid_multiflow_unsupported_features(tampered)
         assert any("differs from the canonical" in f for f in features)
+
+    def test_flows_on_one_pair_of_two_run_like_shared_paths(self):
+        # the pair count comes from the topology, so flows that leave a
+        # pair idle are still the canonical dumbbell; both flows share one
+        # IFQ, exactly as with shared_paths=True
+        ccs = ("reno", "restricted")
+
+        def outcomes(**form):
+            result = execute(MultiFlowSpec(config=SMALL_PATH, duration=5.0,
+                                           backend="fluid", **form))
+            return [(f.goodput_bps, f.send_stalls, f.congestion_signals,
+                     f.pkts_retrans) for f in result.flows]
+
+        shared = outcomes(flows=tuple(BulkFlowSpec(cc=cc) for cc in ccs),
+                          shared_paths=True)
+        for pair in (0, 1):
+            flows = tuple(BulkFlowSpec(cc=cc, path_index=pair) for cc in ccs)
+            assert outcomes(flows=flows) == shared
+
+    def test_deviation_message_names_pair_count_and_link(self):
+        base = dumbbell(SMALL_PATH, 3, ccs="reno")
+        links = list(base.topology.links)
+        links[3] = dataclasses.replace(links[3], delay_s=1.0)
+        tampered = base.replace(
+            flows=base.flows[:1],
+            topology=dataclasses.replace(base.topology, links=tuple(links)))
+        assert fluid_multiflow_unsupported_features(tampered) == [
+            "a topology that differs from the canonical 3-pair dumbbell for "
+            f"its config (first difference: link {links[3].name!r})"]
+
+    def test_engine_refuses_an_unchecked_spec(self):
+        from repro.fluid.backend import execute_fluid_multi_flow
+
+        spec = MultiFlowSpec(scenario=parking_lot(SMALL_PATH, 3), duration=1.0)
+        with pytest.raises(UnsupportedScenarioError, match="backend='packet'"):
+            execute_fluid_multi_flow(spec)
 
     def test_cross_traffic_rejected(self):
         from repro.spec import CrossTrafficSpec

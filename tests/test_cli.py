@@ -282,6 +282,14 @@ class TestFluidBackend:
         assert "multi-flow" not in out
         assert code == 0
 
+    def test_validate_skip_population(self, capsys):
+        code = main(["validate", "--duration", "2", "--points", "1",
+                     "--skip-fairness", "--skip-population"])
+        out = capsys.readouterr().out
+        assert "fluid-vs-packet cross-validation" in out
+        assert "scalar-vs-vector" not in out
+        assert code == 0
+
     def test_validate_rejects_path_overrides(self, capsys):
         # the gate runs a fixed tuned grid; silently ignoring overrides
         # would validate something other than what the user asked for
