@@ -126,9 +126,12 @@ class ResultStore:
         return self.objects_dir / key[:2] / f"{key}.json"
 
     def _object_paths(self) -> list[pathlib.Path]:
+        """Every regular file named like an entry; anything else under
+        ``objects/`` (a directory, a socket) is neither read nor unlinked."""
         if not self.objects_dir.is_dir():
             return []
-        return sorted(self.objects_dir.glob("*/*.json"))
+        return sorted(path for path in self.objects_dir.glob("*/*.json")
+                      if path.is_file())
 
     # -- reads -----------------------------------------------------------
     def contains(self, key: str) -> bool:
@@ -157,12 +160,13 @@ class ResultStore:
     def _read_path(path: pathlib.Path, key: str) -> dict | None:
         from ..experiments.results_io import SCHEMA_VERSION, validate_document
 
-        if not path.exists():
-            return None
         try:
             document = validate_document(json.loads(path.read_text()),
                                          source=str(path))
-        except (json.JSONDecodeError, UnicodeDecodeError, ExperimentError):
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+                ExperimentError):
+            # OSError: absent (a concurrent gc may just have removed it) or
+            # unreadable, such as a directory in the entry's place
             return None
         if document.get("schema_version") != SCHEMA_VERSION:
             # validate_document tolerates legacy versions so saved files

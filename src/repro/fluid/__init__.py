@@ -32,22 +32,35 @@ from .model import (
     RestrictedFluid,
     fluid_growth_rule,
 )
-from .validate import (
-    DEFAULT_FAIRNESS_TOLERANCE,
-    DEFAULT_TOLERANCE,
-    FairnessTolerance,
-    FairnessValidationReport,
-    FairnessValidationRow,
-    Tolerance,
-    ValidationReport,
-    ValidationRow,
-    cross_validate,
-    cross_validate_fairness,
-    cross_validate_population,
-    default_fairness_grid,
-    default_grid,
-)
 from .vector import ChurnArrival, FlowArrivalSpec, FluidPopulationModel
+
+#: Names re-exported from :mod:`repro.fluid.validate`, resolved on first
+#: access (PEP 562): importing the package does not import the gate, so
+#: ``python -m repro.fluid.validate`` runs it as ``__main__`` cleanly.
+_VALIDATE_NAMES = frozenset({
+    "DEFAULT_FAIRNESS_TOLERANCE",
+    "DEFAULT_TOLERANCE",
+    "FairnessTolerance",
+    "FairnessValidationReport",
+    "FairnessValidationRow",
+    "Tolerance",
+    "ValidationReport",
+    "ValidationRow",
+    "cross_validate",
+    "cross_validate_fairness",
+    "cross_validate_population",
+    "default_fairness_grid",
+    "default_grid",
+})
+
+
+def __getattr__(name: str) -> object:
+    if name in _VALIDATE_NAMES:
+        from . import validate
+
+        return getattr(validate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FLUID_BACKEND",

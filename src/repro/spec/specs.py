@@ -29,6 +29,7 @@ import functools
 import hashlib
 import importlib
 import json
+import operator
 import pathlib
 import sys
 import types
@@ -79,18 +80,47 @@ _LAZY_KINDS = {"campaign": "repro.campaign.spec"}
 
 def _encode(value: Any) -> Any:
     """Recursively convert a spec (or one of its fields) into plain data."""
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, SpecBase):
-        return value.to_dict()
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _encode(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
+    encoder = _ENCODERS.get(type(value))
+    if encoder is None:
+        encoder = _ENCODERS[type(value)] = _encoder_for(type(value))
+    return encoder(value)
+
+
+#: Each type's encoder, built on first use (a plain dict: a lookup here is
+#: cheaper than a call through ``functools.cache``, on every encoded value).
+_ENCODERS: dict[type, Callable[[Any], Any]] = {}
+
+
+def _encoder_for(cls: type) -> Callable[[Any], Any]:
+    """How :func:`_encode` converts values of type ``cls``.  Precedence:
+    enum, spec (honouring ``to_dict`` overrides), dataclass, dict,
+    list/tuple, and anything else as it is."""
+    if issubclass(cls, enum.Enum):
+        return operator.attrgetter("value")
+    if issubclass(cls, SpecBase):
+        return cls.to_dict
+    if dataclasses.is_dataclass(cls):
+        return _encode_fields
+    if issubclass(cls, dict):
+        return lambda value: {str(k): _encode(v) for k, v in value.items()}
+    if issubclass(cls, (list, tuple)):
+        return lambda value: [_encode(v) for v in value]
+    return _as_is
+
+
+def _as_is(value: Any) -> Any:
     return value
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _encode_fields(value: Any) -> dict:
+    """A dataclass instance's fields, encoded, by field name."""
+    return {name: _encode(getattr(value, name))
+            for name in _field_names(type(value))}
 
 
 #: Classes the spec modules import only for type checking, by the module
@@ -412,9 +442,7 @@ class SpecBase:
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:
         """Plain-data document (JSON-serialisable, ``kind``-tagged)."""
-        return {"kind": self.kind,
-                **{f.name: _encode(getattr(self, f.name))
-                   for f in dataclasses.fields(self)}}
+        return {"kind": self.kind, **_encode_fields(self)}
 
     @classmethod
     def from_dict(cls: type[_S], data: dict) -> _S:
@@ -439,10 +467,20 @@ class SpecBase:
         Equal specs hash equally: integral floats are canonicalised to
         ints first, so ``RunSpec(duration=2)`` and ``RunSpec(duration=2.0)``
         (which compare equal) share one key.
+
+        Computed once per instance: a spec is a frozen value object, and
+        every derived spec (``replace``, ``with_*``, ``from_dict``) is a new
+        instance with its own key.  The stored digest lives outside the
+        dataclass fields, so ``==``, ``hash``, ``repr`` and ``to_dict``
+        never see it.
         """
-        canonical = json.dumps(_canonical_numbers(self.to_dict()),
-                               sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        key: str | None = self.__dict__.get("_cache_key")
+        if key is None:
+            canonical = json.dumps(_canonical_numbers(self.to_dict()),
+                                   sort_keys=True, separators=(",", ":"))
+            key = hashlib.sha256(canonical.encode()).hexdigest()
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
     # -- uniform overrides ----------------------------------------------
     def replace(self, **changes: object) -> "SpecBase":

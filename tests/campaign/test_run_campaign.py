@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import types
+
 import pytest
 
 import repro.campaign.run as campaign_run
+import repro.spec.specs as specs_module
 from repro.campaign import (
     CampaignSpec,
     ResultStore,
@@ -15,7 +19,7 @@ from repro.campaign import (
 )
 from repro.errors import ExperimentError
 from repro.experiments.sweeps import ifq_sweep_spec
-from repro.spec import MultiFlowSpec, RunSpec, dumbbell
+from repro.spec import ComparisonSpec, MultiFlowSpec, RunSpec, dumbbell
 from repro.testing import TINY_PATH
 
 
@@ -232,3 +236,42 @@ class TestExecuteWriteThrough:
         for child in spec.run_specs().values():
             assert store.contains(child.cache_key())
         assert store.contains(spec.cache_key())
+
+
+class TestKeyDerivations:
+    def test_warm_rerun_keys_each_unit_instance_once(self, store,
+                                                     monkeypatch):
+        def campaign():
+            return CampaignSpec(
+                name="keyed-once",
+                units=(ComparisonSpec(base=RunSpec(config=TINY_PATH,
+                                                   duration=1.0, seed=3,
+                                                   backend="fluid")),),
+                sweeps=(ifq_sweep_spec(sizes=(10, 20), duration=1.0,
+                                       base_config=TINY_PATH,
+                                       backend="fluid"),))
+
+        run_campaign(campaign(), store, max_workers=0)
+        expanded = []
+        expand = CampaignSpec.expand
+
+        def recording_expand(self):
+            units = expand(self)
+            expanded.extend(units)
+            return units
+
+        derivations = []
+
+        def counting_sha256(data):
+            derivations.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(CampaignSpec, "expand", recording_expand)
+        monkeypatch.setattr(specs_module, "hashlib",
+                            types.SimpleNamespace(sha256=counting_sha256))
+        manifest = run_campaign(campaign(), store, max_workers=0)
+        assert manifest.hits == len(manifest.units) > 0
+        # the campaign's own key, one per expanded unit-spec instance, and
+        # one per hit: the store re-derives each embedded spec's key
+        instances = len({id(unit.spec) for unit in expanded})
+        assert len(derivations) == 1 + instances + manifest.hits

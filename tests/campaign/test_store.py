@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -121,6 +122,11 @@ class TestIntegrityAndSchema:
     def test_corrupt_json_is_a_miss(self, store, fluid_result):
         key = store.put(fluid_result)
         store.path_for(key).write_text("{not json")
+        assert store.get(key) is None
+
+    def test_non_utf8_entry_is_a_miss(self, store, fluid_result):
+        key = store.put(fluid_result)
+        store.path_for(key).write_bytes(b"\xff\xfe not utf-8")
         assert store.get(key) is None
 
     def test_misfiled_document_is_a_miss(self, store, fluid_result):
@@ -282,3 +288,45 @@ class TestJunkFilenames:
         assert stats.removed == 1
         assert not junk.exists()
         assert store.stats().entries == 1
+
+
+class TestUnreadableEntries:
+    """An entry that cannot be read is a miss, never an exception."""
+
+    def test_directory_at_entry_path_is_skipped(self, store, fluid_result):
+        store.put(fluid_result)
+        blocked = "ab" + "0" * 62
+        store.path_for(blocked).mkdir(parents=True)
+        assert store.get(blocked) is None
+        assert not store.contains(blocked)
+        assert store.misses == 1
+        stats = store.stats()
+        assert (stats.entries, stats.stale) == (1, 0)
+        gc = store.gc()
+        assert (gc.removed, gc.kept) == (0, 1)
+        assert store.path_for(blocked).is_dir()
+
+    def test_entry_removed_between_listing_and_read_is_a_miss(
+            self, store, fluid_result, monkeypatch):
+        key = store.put(fluid_result)
+        read_text = pathlib.Path.read_text
+
+        def removed_first(path, *args, **kwargs):
+            path.unlink()  # a concurrent gc wins the race
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "read_text", removed_first)
+        assert store.get(key) is None
+        assert store.misses == 1
+
+    def test_unreadable_file_is_a_stale_miss(self, store, fluid_result,
+                                             monkeypatch):
+        key = store.put(fluid_result)
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(pathlib.Path, "read_text", denied)
+        assert store.get(key) is None
+        stats = store.stats()
+        assert (stats.entries, stats.stale) == (1, 1)

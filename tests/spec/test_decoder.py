@@ -3,10 +3,15 @@
 ``SpecBase.from_dict`` decodes every spec kind from its field annotations.
 These tests pin the rules it keeps (null handling, kind-tag dispatch) and
 check, over generated specs of every kind, that ``to_json`` followed by
-``spec_from_json`` gives back an equal spec under the same cache key.
+``spec_from_json`` gives back an equal spec under the same cache key, and
+that the once-per-instance ``cache_key()`` stays the key's definition.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -221,3 +226,59 @@ class TestGeneratedRoundTrip:
     @given(campaign_specs)
     def test_campaign_specs(self, spec):
         _assert_round_trip(spec)
+
+
+# ---------------------------------------------------------------------------
+# the memoized cache key
+# ---------------------------------------------------------------------------
+
+any_specs = (run_specs() | comparison_specs | multi_flow_specs
+             | sweep_specs() | campaign_specs)
+
+
+def _integral_floats_as_ints(value):
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, dict):
+        return {k: _integral_floats_as_ints(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_integral_floats_as_ints(v) for v in value]
+    return value
+
+
+def _defined_key(spec) -> str:
+    """The key's definition: sha256 of the canonical JSON of ``to_dict()``."""
+    canonical = json.dumps(_integral_floats_as_ints(spec.to_dict()),
+                           sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _hash_or_error(spec):
+    try:
+        return hash(spec)
+    except TypeError as exc:  # a dict field (cc_kwargs) makes specs unhashable
+        return str(exc)
+
+
+class TestMemoizedKey:
+    @settings(max_examples=40, deadline=None)
+    @given(any_specs)
+    def test_key_is_computed_once_and_is_the_definition(self, spec):
+        twin = spec_from_dict(spec.to_dict())  # equal, never keyed
+        key = spec.cache_key()
+        assert spec.cache_key() == key == _defined_key(spec)
+        assert spec_from_dict(spec.to_dict()).cache_key() == key
+
+        assert spec == twin
+        assert _hash_or_error(spec) == _hash_or_error(twin)
+        assert repr(spec) == repr(twin)
+        assert spec.to_dict() == twin.to_dict()
+
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert clone.cache_key() == key
+
+        if not isinstance(spec, CampaignSpec):
+            seed = spec.seed if hasattr(spec, "seed") else spec.base.seed
+            reseeded = spec.with_seed(seed + 1)
+            assert reseeded.cache_key() == _defined_key(reseeded) != key

@@ -24,14 +24,19 @@ print(" ".join(sorted({{name.partition(".")[0] for name in sys.modules}})))
 """
 
 
-def loaded_top_level(imports: str) -> set[str]:
-    """Top-level module names a fresh interpreter holds after ``imports``."""
+def src_env() -> dict[str, str]:
+    """The environment with the checkout's ``src/`` first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def loaded_top_level(imports: str) -> set[str]:
+    """Top-level module names a fresh interpreter holds after ``imports``."""
     out = subprocess.run([sys.executable, "-c", PROBE.format(imports=imports)],
-                         env=env, cwd=ROOT, capture_output=True, text=True,
-                         check=True)
+                         env=src_env(), cwd=ROOT, capture_output=True,
+                         text=True, check=True)
     return set(out.stdout.split())
 
 
@@ -57,3 +62,14 @@ def test_runtime_imports_are_declared_dependencies():
     }
     assert third_party <= declared_dependencies(), (
         f"undeclared runtime imports: {sorted(third_party - declared_dependencies())}")
+
+
+def test_validate_gate_runs_as_main_without_runpy_warning():
+    # runpy warns when the package import has already loaded the module it
+    # is about to run as __main__; repro.fluid must not import the gate
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.fluid.validate", "--help"],
+        env=src_env(), cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout
