@@ -47,20 +47,26 @@ the packet backend but does not influence the dynamics.
 Cost
 ----
 The chunk loop is the cost of every fluid sweep and campaign.  A round
-runs at most ``_MAX_CHUNKS`` (256) chunks, and each chunk below ``ssthresh``
-makes one call into the growth rule.  For restricted slow-start that call
-is the whole controller evaluation: :class:`RestrictedFluid` runs the PID
-recurrence on its own state instead of calling
+runs at most ``_MAX_CHUNKS`` (256) chunks.  :class:`RestrictedFluid` runs the
+PID recurrence on its own state instead of calling
 :meth:`~repro.control.pid.PIDController.update`, with the anti-windup
-branch and bounds resolved when the rule is built.  A differential test
-(``tests/fluid/test_restricted_recurrence.py``) pins it to the controller
-bit for bit.
+branch and bounds resolved when the rule is built; a differential test
+(``tests/fluid/test_restricted_recurrence.py``) pins
+:meth:`RestrictedFluid.increment` to the controller bit for bit.
 
 :class:`FluidFlowModel`'s loop keeps the window, ``ssthresh``, the queue and
-the peaks in locals and writes them back to the model when it ends.
-Mid-loop only a stall reduction reads or writes model state, so the window
-and the queue are written back before one and the window and ``ssthresh``
-reloaded after it.  :class:`FluidMultiFlowModel`'s round keeps the same
+the highest chunk queue in locals and writes them back to the model when it
+ends; the step count and the IFQ peak are settled once per round.  When the
+rule is exactly a :class:`RestrictedFluid` (the paper's algorithm, most of
+the chunks of a campaign), a restricted chunk makes no call: the loop runs
+the rule's recurrence on locals, loading its constants and its integral and
+previous occupancy once per round (``tests/fluid/test_restricted_inline.py``
+pins it to ``increment`` bit for bit).  Every other rule, subclasses
+included, is called once per chunk below ``ssthresh``.  Mid-loop only a
+stall reduction reads or writes model or rule state, so the window, the
+queue and the controller state are written back before one and the window,
+``ssthresh`` and the controller state reloaded after it.
+:class:`FluidMultiFlowModel`'s round keeps the same
 discipline per flow: the allocator's shares, the IFQ queues and peaks and
 the per-IFQ drains live in per-round lists, the growth of each chunk runs
 inline, and a flow's window is written back to it as it grows, so a stall
@@ -221,6 +227,10 @@ class RestrictedFluid(FluidGrowthRule):
     operation is the controller's, in the controller's order, so the output
     equals ``PIDController.update``'s bit for bit
     (``tests/fluid/test_restricted_recurrence.py``).
+
+    :meth:`FluidFlowModel._run_round` runs a copy of :meth:`increment`
+    inline for a rule of exactly this class; a change to one must be made
+    to the other (``tests/fluid/test_restricted_inline.py`` compares them).
     """
 
     name = "restricted"
@@ -566,30 +576,87 @@ class FluidFlowModel:
 
             # loop invariants and the state the chunks advance, in locals
             # (see Cost in the module docstring)
-            increment = self.rule.increment
+            rule = self.rule
+            increment = rule.increment
             capacity = self.capacity
             cap = float(capacity)
             stall_level = capacity - _STALL_EPS
-            ack_jitter = self.ack_jitter
             floor = max(1.0, float(self.options.initial_cwnd_segments))
             ignore_stalls = (self.options.local_congestion_policy
                              == LocalCongestionPolicy.IGNORE)
             cwnd = self.cwnd
             ssthresh = self.ssthresh
             queue = self.queue
-            ifq_peak = self.ifq_peak
+            queue_peak = 0.0
             max_cwnd = self.max_cwnd
-            steps = self.steps
+
+            # RestrictedFluid.increment's recurrence, run below on these
+            # locals (a subclass may override it, so only the exact type
+            # qualifies; a non-positive dt takes the call, which raises).
+            # Each hoisted operation is one Python evaluates first in its
+            # expression, so every result is bit-identical to the call.
+            inline = type(rule) is RestrictedFluid and dt > 0
+            if inline:
+                kp = rule._kp
+                ki = rule._ki
+                kd = rule._kd
+                neg_kd = -kd
+                filter_gain = dt / (rule._tau + dt) if rule._tau > 0 else None
+                out_min = rule._out_min
+                out_max = rule._out_max
+                tt = rule._tt
+                setpoint = rule._setpoint
+                guard = rule._guard
+                bound_chunk = guard and capacity > 0
+                quantum = rule.ack_quantum
+                integral = rule._integral
+                last = rule._last
             for i in range(chunks):
-                steps += 1
                 # One chunk of window growth.  ``injected`` is the net packets
                 # sent above the ACK clock (the IFQ burst contribution;
                 # negative when a trimming controller lets the queue drain).
                 before = cwnd
                 if cwnd < ssthresh:
-                    delta = increment(chunk, cwnd,
-                                      queue / capacity if capacity else 0.0,
-                                      capacity, dt)
+                    pv = queue / capacity if capacity else 0.0
+                    if inline:
+                        error = setpoint - pv
+                        p_term = kp * error
+                        if last is None:
+                            filtered = pv
+                            d_term = 0.0
+                        else:
+                            if filter_gain is None:
+                                filtered = pv
+                            else:
+                                filtered = last + filter_gain * (pv - last)
+                            # repro: allow[REP003] kd is a configured gain, not a computed value; 0.0 disables the term as in PIDController
+                            d_term = 0.0 if kd == 0.0 else neg_kd * (filtered - last) / dt
+                        last = filtered
+                        integral = integral + ki * error * dt
+                        unsaturated = p_term + integral + d_term
+                        if out_min <= unsaturated <= out_max:
+                            output = unsaturated
+                        else:
+                            saturated = out_max if unsaturated > out_max else out_min
+                            if tt is not None:
+                                integral += (saturated - unsaturated) * dt / tt
+                            output = p_term + integral + d_term
+                            if output > out_max:
+                                output = out_max
+                            elif output < out_min:
+                                output = out_min
+                        if guard and pv >= setpoint and output > 0.0:
+                            output = 0.0
+                        delta = output * chunk
+                        if bound_chunk and delta > 0.0:
+                            headroom = (setpoint - pv) * capacity
+                            if headroom < 0.0:
+                                headroom = 0.0
+                            bound = headroom + output * quantum
+                            if bound < delta:
+                                delta = bound
+                    else:
+                        delta = increment(chunk, cwnd, pv, capacity, dt)
                     if delta < 0.0:
                         # trimming controller: pull the window back (restricted
                         # slow-start holding the standing queue at the set
@@ -622,11 +689,8 @@ class FluidFlowModel:
                 queue += injected
                 if queue < 0.0:
                     queue = 0.0
-                peak = queue + ack_jitter
-                if peak > cap:
-                    peak = cap
-                if peak > ifq_peak:
-                    ifq_peak = peak
+                if queue > queue_peak:
+                    queue_peak = queue
                 # A growth burst overrunning the whole queue is an enqueue
                 # rejection.  (A persistent near-full queue is the second
                 # rejection mode; it is checked on the end-of-round sustained
@@ -637,21 +701,37 @@ class FluidFlowModel:
                         queue = cap
                     self.cwnd = cwnd
                     self.queue = queue
+                    if inline:
+                        rule._integral = integral
+                        rule._last = last
                     self._reduce_on_stall(now + dt * (i + 1))
                     # reload: the IGNORE policy keeps looping
                     cwnd = self.cwnd
                     ssthresh = self.ssthresh
+                    if inline:
+                        integral = rule._integral
+                        last = rule._last
                     stalled = True
                     if not ignore_stalls:
                         break
             if stalled and ignore_stalls and queue > cap:
                 # surplus growth was discarded at the full queue
                 queue = cap
+            if inline:
+                rule._integral = integral
+                rule._last = last
             self.cwnd = cwnd
             self.queue = queue
-            self.ifq_peak = ifq_peak
+            # The chunk peak is the highest chunk queue plus the delayed-ACK
+            # jitter, capped at the IFQ: both steps are monotone, so applying
+            # them once to the maximum equals applying them to every chunk.
+            peak = queue_peak + self.ack_jitter
+            if peak > cap:
+                peak = cap
+            if peak > self.ifq_peak:
+                self.ifq_peak = peak
             self.max_cwnd = max_cwnd
-            self.steps = steps
+            self.steps += i + 1  # chunks run: a stall can end the loop early
 
         # End of round: excess occupancy relaxes toward the standing level
         # the window implies.  With the NIC at the bottleneck rate the fluid

@@ -317,6 +317,20 @@ def _ensure_backend(backend: str) -> None:
             + " or ".join(repr(name) for name in BACKENDS))
 
 
+def _reject_restricted_cc_kwargs(cc_kwargs: dict, algorithms: tuple[str, ...]) -> None:
+    """Refuse ``cc_kwargs`` on a run spec that runs restricted slow-start.
+
+    Both engines build a restricted run's controller from ``rss_config``
+    alone, so those keyword arguments would be silently ignored.
+    """
+    if cc_kwargs and "restricted" in algorithms:
+        raise ExperimentError(
+            f"cc_kwargs {cc_kwargs!r} cannot configure cc='restricted' in a "
+            "RunSpec: set rss_config= (a RestrictedSlowStartConfig) instead, "
+            "or declare the flow with these cc_kwargs in a MultiFlowSpec's "
+            "flows=")
+
+
 @functools.cache
 def _fluid_algorithms() -> tuple[str, ...]:
     """Algorithms the fluid engines have a growth rule for.
@@ -358,15 +372,17 @@ def _with_config(spec: Any, config: PathConfig) -> Any:
     return spec.replace(config=config, scenario=scenario)
 
 
-def _canonical_numbers(value: Any) -> Any:
-    """Map integral floats to ints so equal specs serialise identically."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _canonical_numbers(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_canonical_numbers(v) for v in value]
-    return value
+def _canonicalize_numbers(document: dict | list) -> None:
+    """Map integral floats to ints, in place, so equal specs serialise
+    identically.  ``document`` must be freshly built (every ``to_dict``
+    returns new containers): its dicts and lists are rewritten."""
+    items = document.items() if isinstance(document, dict) else enumerate(document)
+    for k, v in items:
+        if isinstance(v, float):
+            if v.is_integer():
+                document[k] = int(v)  # type: ignore[index]
+        elif isinstance(v, (dict, list)):
+            _canonicalize_numbers(v)
 
 
 def _set_dotted(obj: Any, parameter: str, value: Any, *, root: str) -> Any:
@@ -476,8 +492,9 @@ class SpecBase:
         """
         key: str | None = self.__dict__.get("_cache_key")
         if key is None:
-            canonical = json.dumps(_canonical_numbers(self.to_dict()),
-                                   sort_keys=True, separators=(",", ":"))
+            document = self.to_dict()
+            _canonicalize_numbers(document)
+            canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
             key = hashlib.sha256(canonical.encode()).hexdigest()
             object.__setattr__(self, "_cache_key", key)
         return key
@@ -529,7 +546,8 @@ class RunSpec(SpecBase):
     total_bytes:
         Finite transfer size, or ``None`` for a duration-filling transfer.
     cc_kwargs:
-        Extra keyword arguments for the algorithm factory.
+        Extra keyword arguments for the algorithm factory.  Refused with
+        ``cc="restricted"``, whose controller ``rss_config`` configures.
     rss_config:
         Explicit controller configuration for ``cc="restricted"``.
     local_congestion_policy:
@@ -581,6 +599,7 @@ class RunSpec(SpecBase):
             object.__setattr__(self, "local_congestion_policy",
                                LocalCongestionPolicy(self.local_congestion_policy))
         _ensure_backend(self.backend)
+        _reject_restricted_cc_kwargs(self.cc_kwargs, (self.cc,))
         if self.scenario is not None:
             _adopt_scenario_config(self)
         if self.backend == "fluid":
@@ -666,6 +685,7 @@ class ComparisonSpec(SpecBase):
         if self.baseline not in self.algorithms:
             raise ExperimentError(
                 f"baseline {self.baseline!r} must be one of {list(self.algorithms)}")
+        _reject_restricted_cc_kwargs(self.base.cc_kwargs, self.algorithms)
 
     def run_specs(self) -> dict[str, RunSpec]:
         """The per-algorithm :class:`RunSpec` derivations, in tuple order."""
@@ -929,6 +949,7 @@ class SweepSpec(SpecBase):
             return  # the multi-flow base declares the algorithm mix itself
         if not self.algorithms:
             raise ExperimentError("at least one algorithm is required")
+        _reject_restricted_cc_kwargs(self.base.cc_kwargs, self.algorithms)
         if self.row_style == "single" and len(self.algorithms) != 1:
             # its unprefixed ifq_peak/ifq_drops columns cannot attribute
             # more than one algorithm

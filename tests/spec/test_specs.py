@@ -206,6 +206,63 @@ class TestValidationAndDispatch:
             execute(spec)
 
 
+class TestRestrictedCcKwargs:
+    """A restricted ``RunSpec`` takes its controller from ``rss_config``
+    alone, so ``cc_kwargs`` beside ``cc="restricted"`` are refused rather
+    than silently ignored by both engines."""
+
+    @pytest.mark.parametrize("backend", ["packet", "fluid"])
+    @pytest.mark.parametrize("cc_kwargs", [{"setpoint_fraction": 0.3},
+                                           {"no_such_field": 1}])
+    def test_run_spec_refuses_them(self, backend, cc_kwargs):
+        with pytest.raises(ExperimentError, match="rss_config"):
+            RunSpec(cc="restricted", config=SMALL_PATH, backend=backend,
+                    cc_kwargs=cc_kwargs)
+
+    def test_deriving_restricted_from_a_base_with_them_is_refused(self):
+        base = RunSpec(cc="limited_slow_start", config=SMALL_PATH,
+                       cc_kwargs={"max_ssthresh_segments": 10})
+        with pytest.raises(ExperimentError, match="cc='restricted'"):
+            base.replace(cc="restricted")
+
+    def test_comparison_expanding_to_restricted_is_refused_at_construction(self):
+        base = RunSpec(cc="limited_slow_start", config=SMALL_PATH,
+                       cc_kwargs={"max_ssthresh_segments": 10})
+        with pytest.raises(ExperimentError, match="rss_config"):
+            ComparisonSpec(base=base,
+                           algorithms=("limited_slow_start", "restricted"),
+                           baseline="limited_slow_start")
+
+    def test_sweep_expanding_to_restricted_is_refused_at_construction(self):
+        base = RunSpec(cc="limited_slow_start", config=SMALL_PATH,
+                       cc_kwargs={"max_ssthresh_segments": 10})
+        with pytest.raises(ExperimentError, match="rss_config"):
+            SweepSpec(values=(10, 20), base=base,
+                      algorithms=("limited_slow_start", "restricted"))
+
+    def test_other_algorithms_and_empty_kwargs_are_accepted(self):
+        base = RunSpec(cc="limited_slow_start", config=SMALL_PATH,
+                       cc_kwargs={"max_ssthresh_segments": 10})
+        comparison = ComparisonSpec(base=base,
+                                    algorithms=("limited_slow_start", "reno"),
+                                    baseline="reno")
+        assert comparison.run_specs()["reno"].cc_kwargs == base.cc_kwargs
+        assert RunSpec(cc="restricted", cc_kwargs={}).cc_kwargs == {}
+
+    def test_a_stored_document_with_them_no_longer_decodes(self):
+        document = RunSpec(cc="restricted", config=SMALL_PATH).to_dict()
+        document["cc_kwargs"] = {"setpoint_fraction": 0.3}
+        with pytest.raises(ExperimentError, match="rss_config"):
+            spec_from_dict(document)
+
+    def test_a_flows_declaration_still_honours_them(self):
+        flow = BulkFlowSpec(cc="restricted", cc_kwargs={"no_such_field": 1})
+        spec = MultiFlowSpec(flows=(flow,), config=SMALL_PATH, duration=1.0,
+                             backend="fluid")
+        with pytest.raises(ExperimentError, match="no_such_field"):
+            execute(spec)
+
+
 class TestPickling:
     @pytest.mark.parametrize("spec", SPEC_EXAMPLES,
                              ids=lambda s: f"{s.kind}:{s.cache_key()[:8]}")
