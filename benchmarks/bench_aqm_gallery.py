@@ -26,10 +26,12 @@ from typing import Sequence
 from repro.experiments.aqm_gallery import (
     GALLERY_CCS,
     GALLERY_DISCIPLINES,
+    aqm_gallery_from_campaign,
+    aqm_gallery_grid_spec,
     render_aqm_gallery,
-    run_aqm_gallery,
 )
 from repro.obs.clock import wall_clock
+from repro.spec import execute
 
 from . import write_artifact
 
@@ -44,10 +46,11 @@ def run_aqm_gallery_bench(duration: float = 10.0,
                           seed: int = 1,
                           max_workers: int | None = None) -> dict:
     """Run the gallery grid and return the artifact payload."""
+    spec = aqm_gallery_grid_spec(ccs=ccs, disciplines=disciplines,
+                                 n_flows=n_flows, duration=duration, seed=seed)
     t0 = wall_clock()
-    result = run_aqm_gallery(ccs=ccs, disciplines=disciplines,
-                             n_flows=n_flows, duration=duration, seed=seed,
-                             max_workers=max_workers)
+    result = aqm_gallery_from_campaign(
+        execute(spec, max_workers=max_workers), ccs=ccs, disciplines=disciplines)
     wall = wall_clock() - t0
     return {
         "benchmark": "aqm_gallery",

@@ -8,18 +8,16 @@ slow-start avoids stalls entirely and fills the path fastest.
 
 from __future__ import annotations
 
-from repro.experiments import render_baselines, run_baseline_comparison
+from repro.experiments import render_baselines
+from repro.experiments.baselines import baselines_from_comparison, baselines_spec
+from repro.spec import execute
 
 from .conftest import emit, scaled
 
 
 def test_slow_start_variant_comparison(bench_once, benchmark):
-    result = bench_once(
-        run_baseline_comparison,
-        duration=scaled(15.0),
-        seed=1,
-        max_workers=None,
-    )
+    spec = baselines_spec(duration=scaled(15.0), seed=1)
+    result = baselines_from_comparison(bench_once(execute, spec))
     emit(benchmark, render_baselines(result), ranking=" > ".join(result.ranking()))
     restricted = result.row_for("restricted")
     reno = result.row_for("reno")

@@ -16,19 +16,18 @@ limitation of a host-local signal, not a reproduction target.
 
 from __future__ import annotations
 
-from repro.experiments import render_fairness, run_fairness
+from repro.experiments import render_fairness
+from repro.experiments.fairness import fairness_from_campaign, fairness_spec
+from repro.spec import execute
 
 from .conftest import emit, scaled
 
 
 def test_multi_flow_fairness(bench_once, benchmark):
-    result = bench_once(
-        run_fairness,
-        flow_counts=(2, 4),
-        mixes=("standard", "restricted", "half"),
-        duration=scaled(15.0),
-        seed=1,
-    )
+    spec = fairness_spec(flow_counts=(2, 4),
+                         mixes=("standard", "restricted", "half"),
+                         duration=scaled(15.0), seed=1)
+    result = fairness_from_campaign(bench_once(execute, spec))
     emit(benchmark, render_fairness(result))
     for n_flows in (2, 4):
         all_standard = result.row_for(n_flows, "standard")

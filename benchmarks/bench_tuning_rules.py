@@ -11,18 +11,19 @@ ramp.
 
 from __future__ import annotations
 
-from repro.experiments import render_tuning_ablation, run_tuning_ablation
+from repro.experiments import render_tuning_ablation
+from repro.experiments.tuning_ablation import (
+    tuning_ablation_from_campaign,
+    tuning_ablation_spec,
+)
+from repro.spec import execute
 
 from .conftest import emit, scaled
 
 
 def test_tuning_rule_ablation(bench_once, benchmark):
-    result = bench_once(
-        run_tuning_ablation,
-        duration=scaled(12.0),
-        seed=1,
-        max_workers=None,
-    )
+    spec = tuning_ablation_spec(duration=scaled(12.0), seed=1)
+    result = tuning_ablation_from_campaign(bench_once(execute, spec))
     emit(benchmark, render_tuning_ablation(result), best_rule=result.best_rule())
     paper_row = result.row_for("allcock_modified")
     # the paper's rule must be stall-free and near full utilisation

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import render_fairness, run_fairness
+from repro.experiments import render_fairness
+from repro.experiments.fairness import fairness_from_campaign, fairness_spec
+from repro.spec import execute
 from repro.units import Mbps
 from repro.workloads import PathConfig
 
@@ -40,9 +42,11 @@ def main() -> None:
 
     print(f"bottleneck {config.bottleneck_rate_bps / 1e6:.0f} Mbit/s, "
           f"RTT {config.rtt * 1e3:.0f} ms, {args.duration:.0f} s per scenario\n")
-    result = run_fairness(flow_counts=tuple(args.flows),
-                          mixes=("standard", "restricted", "half"),
-                          duration=args.duration, config=config, seed=args.seed)
+    grid = dict(flow_counts=tuple(args.flows),
+                mixes=("standard", "restricted", "half"))
+    result = fairness_from_campaign(
+        execute(fairness_spec(**grid, duration=args.duration, config=config,
+                              seed=args.seed)), **grid)
     print(render_fairness(result))
 
     print("\ninterpretation:")

@@ -7,8 +7,9 @@ kinds of work:
 * ``units`` — explicit unit specs (:class:`~repro.spec.RunSpec`,
   :class:`~repro.spec.ComparisonSpec`, :class:`~repro.spec.MultiFlowSpec`);
 * ``experiments`` — registry experiment ids (``"E3"``, ``"E2F"``, ...),
-  resolved to their declarative specs (legacy runner-only entries are
-  rejected eagerly by name);
+  resolved to their declarative specs (unknown ids are rejected eagerly);
+  an experiment whose spec is itself a campaign (E7, E9, E13) contributes
+  its units;
 * ``sweeps`` — :class:`~repro.spec.SweepSpec` grids.
 
 :meth:`CampaignSpec.expand` flattens everything to *atomic* units — one
@@ -16,6 +17,8 @@ kinds of work:
 process fan-out happen at point granularity: re-running a campaign after
 editing one sweep value recomputes exactly the new points, and two
 campaigns sharing grid points share their cached results.
+``execute(campaign)`` runs every unit; the ``with_*`` overrides apply to
+every unit and sweep.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import ClassVar
 
 from ..errors import ExperimentError
 from ..spec import ComparisonSpec, MultiFlowSpec, RunSpec, SpecBase, SweepSpec
+from ..workloads.scenarios import PathConfig
 
 __all__ = ["CampaignSpec", "CampaignUnit"]
 
@@ -59,8 +63,7 @@ class CampaignSpec(SpecBase):
         Explicit unit specs; comparisons flatten to one run per algorithm.
     experiments:
         Registry ids resolved through :func:`repro.experiments.get_experiment`;
-        only spec-carrying entries qualify (legacy runners have no cache
-        key), and unknown/legacy ids are rejected at construction time.
+        unknown ids are rejected at construction time.
     sweeps:
         Sweep grids, flattened to one atomic spec per (point, algorithm).
     """
@@ -95,7 +98,7 @@ class CampaignSpec(SpecBase):
                     f"campaign sweeps must be SweepSpec, got "
                     f"{type(sweep).__name__}")
         for experiment_id in self.experiments:
-            self._resolve(experiment_id)  # eager: unknown/legacy ids fail here
+            self._resolve(experiment_id)  # eager: unknown ids fail here
 
     @classmethod
     def example(cls) -> "CampaignSpec":
@@ -106,13 +109,7 @@ class CampaignSpec(SpecBase):
     def _resolve(experiment_id: str) -> SpecBase:
         from ..experiments.registry import get_experiment
 
-        entry = get_experiment(experiment_id)
-        if entry.spec is None:
-            raise ExperimentError(
-                f"experiment {entry.experiment_id} has no declarative spec "
-                "(legacy runner) — it carries no cache key, so campaigns "
-                "cannot memoize it; run it directly instead")
-        return entry.spec
+        return get_experiment(experiment_id).spec
 
     # ------------------------------------------------------------------
     def expand(self) -> list[CampaignUnit]:
@@ -131,11 +128,47 @@ class CampaignSpec(SpecBase):
             out.extend(_flatten(sweep.name, sweep))
         return out
 
+    # -- overrides -------------------------------------------------------
+    @property
+    def path_config(self) -> PathConfig:
+        """The path of the first unit (registry campaigns share one path)."""
+        return self.expand()[0].spec.config
+
+    @property
+    def backend(self) -> str:
+        """The backend of the first unit (registry campaigns share one)."""
+        return self.expand()[0].spec.backend
+
+    def _with(self, method: str, value: object) -> "CampaignSpec":
+        if self.experiments:
+            raise ExperimentError(
+                f"campaign {self.name!r} names registry experiments "
+                f"{list(self.experiments)}, whose specs are fixed; list their "
+                f"specs as units or sweeps to apply {method}")
+        return self.replace(
+            units=tuple(getattr(unit, method)(value) for unit in self.units),
+            sweeps=tuple(getattr(sweep, method)(value) for sweep in self.sweeps))
+
+    def with_backend(self, backend: str) -> "CampaignSpec":
+        return self._with("with_backend", backend)
+
+    def with_config(self, config: PathConfig) -> "CampaignSpec":
+        return self._with("with_config", config)
+
+    def with_duration(self, duration: float) -> "CampaignSpec":
+        return self._with("with_duration", duration)
+
+    def with_seed(self, seed: int) -> "CampaignSpec":
+        return self._with("with_seed", seed)
+
 
 def _flatten(label: str, spec: SpecBase) -> list[CampaignUnit]:
     """Atomic units of one campaign member, labelled for the manifest."""
     if isinstance(spec, _ATOMIC_KINDS):
         return [CampaignUnit(label=label, spec=spec)]
+    if isinstance(spec, CampaignSpec):
+        return [CampaignUnit(label=f"{label}/{unit.label}", spec=unit.spec)
+                for unit in spec.expand()]
     if isinstance(spec, ComparisonSpec):
         return [CampaignUnit(label=f"{label}/{cc}", spec=run_spec)
                 for cc, run_spec in spec.run_specs().items()]

@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override the spec's simulated seconds")
     dump.add_argument("-o", "--output", default=None,
                       help="write the spec JSON to this path instead of stdout")
-    spec_sub.add_parser("list", help="list the experiments that carry a spec")
+    spec_sub.add_parser("list", help="list every experiment's spec kind and cache key")
 
     scenario_cmd = sub.add_parser(
         "scenario", help="inspect and serialize the declarative scenario gallery")
@@ -423,14 +423,16 @@ def _print_observability(args: argparse.Namespace, result, bus) -> int:
     if args.profile or args.profile_memory:
         telemetry = getattr(result, "telemetry", None)
         if telemetry is None:
-            print("error: this result carries no telemetry (legacy runner "
-                  "experiments predate the spec layer); --profile covers "
-                  "spec-backed experiments and spec/scenario files",
-                  file=sys.stderr)
+            print("error: this result carries no telemetry", file=sys.stderr)
             return 2
         print()
         print(telemetry.render())
     return 0
+
+
+def _registry_entry_for(spec: SpecBase):
+    """The registry experiment whose spec ``spec`` is, if any."""
+    return next((entry for entry in all_experiments() if entry.spec == spec), None)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -446,60 +448,42 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .campaign import ResultStore
 
         store = ResultStore(args.store)
+    # the trace/telemetry sessions are per-process: keep composite fan-out
+    # in-process while one is active
+    serial = 0 if (args.trace or args.profile_memory) else None
+    entry = None
     if args.spec_file or args.scenario_file:
         spec = _load_spec_arg(args.spec_file or args.scenario_file)
         if spec.kind == "campaign":
-            print(f"error: {args.spec_file or args.scenario_file} is a "
-                  "campaign spec; run it with 'repro campaign run'",
-                  file=sys.stderr)
-            return 2
-        if args.scenario_file and not isinstance(spec, ScenarioSpec):
+            # a registry experiment's campaign runs (and renders) as that
+            # experiment; any other campaign belongs to 'repro campaign run'
+            entry = _registry_entry_for(spec) if args.spec_file else None
+            if entry is None:
+                print(f"error: {args.spec_file or args.scenario_file} is a "
+                      "campaign spec; run it with 'repro campaign run'",
+                      file=sys.stderr)
+                return 2
+        elif args.scenario_file and not isinstance(spec, ScenarioSpec):
             print(f"error: {args.scenario_file} is a {spec.kind!r} spec, not "
                   "a scenario; run it with --spec", file=sys.stderr)
             return 2
+    elif args.experiment:
+        entry = get_experiment(args.experiment)
+    else:
+        print("error: an experiment id, --spec <file.json> or "
+              "--scenario <file.json> is required", file=sys.stderr)
+        return 2
+    if entry is None:
         if isinstance(spec, ScenarioSpec):
             # a bare scenario runs every declared flow as a multi-flow job
             spec = MultiFlowSpec(scenario=spec)
         spec = _apply_overrides(spec, args)
         with _run_observability(args) as bus:
-            # the trace/telemetry sessions are per-process: keep composite
-            # fan-out in-process while one is active
-            serial = 0 if (args.trace or args.profile_memory) else None
             result = execute(spec, max_workers=serial, store=store)
-        _print_result(result, args.output)
-        code = _print_observability(args, result, bus)
-        if code:
-            return code
-        return _print_summary(result, args.summary) if args.summary else 0
-    if not args.experiment:
-        print("error: an experiment id, --spec <file.json> or "
-              "--scenario <file.json> is required", file=sys.stderr)
-        return 2
-    entry = get_experiment(args.experiment)
-    if args.backend is not None:
-        if entry.pinned_backend is not None and args.backend != entry.pinned_backend:
-            print(f"error: experiment {entry.experiment_id} is the "
-                  f"{entry.pinned_backend} fast-path variant; run {entry.base_id} "
-                  f"for the {args.backend} engine", file=sys.stderr)
-            return 2
-        if (entry.pinned_backend is None and args.backend != "packet"
-                and not entry.backend_aware):
-            print(f"error: experiment {entry.experiment_id} does not support "
-                  f"--backend {args.backend} (packet only)", file=sys.stderr)
-            return 2
-    # Apply path flags on top of the experiment's own base config (don't
-    # clobber a non-default spec config when no flag was given).
-    overrides = _path_overrides(args)
-    base_config = entry.spec.path_config if entry.spec is not None else PathConfig()
-    with _run_observability(args) as bus:
-        result = entry.run(
-            config=base_config.replace(**overrides) if overrides else None,
-            duration=args.duration,
-            seed=args.seed,
-            backend=args.backend if entry.backend_aware else None,
-            max_workers=0 if (args.trace or args.profile_memory) else None,
-            store=store,
-        )
+    else:
+        with _run_observability(args) as bus:
+            result = entry.run(**_registry_overrides(args),
+                               max_workers=serial, store=store)
     _print_result(result, args.output)
     code = _print_observability(args, result, bus)
     if code:
@@ -507,21 +491,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _print_summary(result, args.summary) if args.summary else 0
 
 
+def _registry_overrides(args: argparse.Namespace) -> dict:
+    """The explicitly-set CLI flags as ``ExperimentSpec`` overrides (the
+    path flags edit the default path, which every registry spec runs on)."""
+    return {"config": _path_config(args) if _path_overrides(args) else None,
+            "duration": args.duration, "seed": args.seed, "backend": args.backend}
+
+
 def _cmd_spec(args: argparse.Namespace) -> int:
     if args.spec_command == "list":
         for entry in all_experiments():
-            if entry.spec is not None:
-                print(f"{entry.experiment_id:4s} {entry.spec.kind:12s} "
-                      f"backend={entry.spec.backend:7s} "
-                      f"cache_key={entry.spec.cache_key()[:12]}")
+            print(f"{entry.experiment_id:4s} {entry.spec.kind:12s} "
+                  f"backend={entry.spec.backend:7s} "
+                  f"cache_key={entry.spec.cache_key()[:12]}")
         return 0
     entry = get_experiment(args.experiment)
-    if entry.spec is None:
-        print(f"error: experiment {entry.experiment_id} has no declarative "
-              "spec (legacy runner; see the README's 'Spec API' section)",
-              file=sys.stderr)
-        return 2
-    spec = _apply_overrides(entry.spec, args)
+    spec = entry.configured_spec(**_registry_overrides(args))
     if args.output:
         path = dump_spec(spec, pathlib.Path(args.output))
         print(f"wrote {entry.experiment_id} spec to {path}")

@@ -1,13 +1,8 @@
 """Experiment harness reproducing every figure/table plus the ablations."""
 
-from .aqm_gallery import (
-    AQMGalleryResult,
-    aqm_gallery_spec,
-    render_aqm_gallery,
-    run_aqm_gallery,
-)
-from .baselines import BaselineComparisonResult, render_baselines, run_baseline_comparison
-from .fairness import FairnessResult, flow_mix, render_fairness, run_fairness
+from .aqm_gallery import AQMGalleryResult, aqm_gallery_spec, render_aqm_gallery
+from .baselines import BaselineComparisonResult, render_baselines
+from .fairness import FairnessResult, flow_mix, render_fairness
 from .figure1 import Figure1Result, figure1_spec, render_figure1
 from .parallel import default_worker_count, map_specs
 from .registry import EXPERIMENTS, ExperimentSpec, all_experiments, get_experiment
@@ -38,11 +33,7 @@ from .sweeps import (
     transfer_size_sweep_spec,
 )
 from .throughput import ThroughputResult, render_throughput, throughput_spec
-from .tuning_ablation import (
-    TuningAblationResult,
-    render_tuning_ablation,
-    run_tuning_ablation,
-)
+from .tuning_ablation import TuningAblationResult, render_tuning_ablation
 
 __all__ = [
     "FlowResult",
@@ -55,17 +46,13 @@ __all__ = [
     "ThroughputResult",
     "SweepResult",
     "render_sweep",
-    "run_tuning_ablation",
     "render_tuning_ablation",
     "TuningAblationResult",
-    "run_baseline_comparison",
     "render_baselines",
     "BaselineComparisonResult",
-    "run_fairness",
     "render_fairness",
     "flow_mix",
     "FairnessResult",
-    "run_aqm_gallery",
     "render_aqm_gallery",
     "aqm_gallery_spec",
     "AQMGalleryResult",

@@ -22,19 +22,20 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..analysis.tables import Table
+from ..campaign.spec import CampaignSpec
 from ..errors import ExperimentError
 from ..spec import MultiFlowSpec, aqm_dumbbell
 from ..units import format_rate
 from ..workloads.scenarios import PathConfig
-from .parallel import map_specs
-from .runner import MultiFlowResult
+from .runner import CampaignResult, MultiFlowResult
 
 __all__ = [
     "GALLERY_DISCIPLINES",
     "GALLERY_CCS",
     "AQMGalleryResult",
     "aqm_gallery_spec",
-    "run_aqm_gallery",
+    "aqm_gallery_grid_spec",
+    "aqm_gallery_from_campaign",
     "render_aqm_gallery",
 ]
 
@@ -84,32 +85,33 @@ def aqm_gallery_spec(cc: str, discipline: str, *,
     return MultiFlowSpec(scenario=scenario, duration=duration, seed=seed)
 
 
-def run_aqm_gallery(
+def aqm_gallery_grid_spec(
     ccs: Sequence[str] = GALLERY_CCS,
     disciplines: Sequence[str] = GALLERY_DISCIPLINES,
     n_flows: int = 2,
     duration: float = 10.0,
     config: PathConfig | None = None,
     seed: int = 1,
-    max_workers: int | None = None,
-) -> AQMGalleryResult:
-    """Run every (cc, discipline) cell of the gallery grid.
+) -> CampaignSpec:
+    """The campaign of every (cc, discipline) cell, cc-major.  Each cell's
+    path and flow starts derive from ``config`` and ``duration``."""
+    return CampaignSpec(name="aqm_gallery", units=tuple(
+        aqm_gallery_spec(cc, discipline, config=config, n_flows=n_flows,
+                         duration=duration, seed=seed)
+        for cc in ccs for discipline in disciplines))
 
-    Cells are independent packet runs, so the grid fans out across a
-    process pool (:func:`repro.experiments.parallel.map_specs`).
-    """
+
+def aqm_gallery_from_campaign(
+    result: CampaignResult,
+    ccs: Sequence[str] = GALLERY_CCS,
+    disciplines: Sequence[str] = GALLERY_DISCIPLINES,
+) -> AQMGalleryResult:
+    """Fold an executed :func:`aqm_gallery_grid_spec` campaign (same grid)."""
     cells = [(cc, discipline) for cc in ccs for discipline in disciplines]
-    if not cells:
-        raise ExperimentError("the gallery needs at least one cc and one "
-                              "discipline")
-    specs = [aqm_gallery_spec(cc, discipline, config=config, n_flows=n_flows,
-                              duration=duration, seed=seed)
-             for cc, discipline in cells]
-    result = AQMGalleryResult(duration=duration)
-    for (cc, discipline), run in zip(cells,
-                                     map_specs(specs, max_workers=max_workers)):
-        result.runs[(cc, discipline)] = run
-        result.rows.append({
+    folded = AQMGalleryResult(duration=result.runs[0].spec.duration)
+    for (cc, discipline), run in zip(cells, result.runs, strict=True):
+        folded.runs[(cc, discipline)] = run
+        folded.rows.append({
             "cc": cc,
             "discipline": discipline,
             "ecn": discipline != "droptail",
@@ -120,7 +122,7 @@ def run_aqm_gallery(
             "bottleneck_marks": run.bottleneck_marks,
             "total_send_stalls": run.total_send_stalls,
         })
-    return result
+    return folded
 
 
 def render_aqm_gallery(result: AQMGalleryResult) -> str:

@@ -15,12 +15,13 @@ from typing import Sequence
 
 from ..analysis.tables import Table
 from ..errors import ExperimentError
-from ..spec import RunSpec
+from ..spec import ComparisonSpec, RunSpec
 from ..units import format_rate
 from ..workloads.scenarios import PathConfig
-from .parallel import map_specs
+from .runner import ComparisonResult
 
-__all__ = ["BaselineComparisonResult", "run_baseline_comparison", "render_baselines"]
+__all__ = ["BaselineComparisonResult", "baselines_spec", "baselines_from_comparison",
+           "render_baselines"]
 
 #: Algorithms included by default (the registry names).
 DEFAULT_BASELINES = ("reno", "newreno", "limited_slow_start", "hystart", "cubic", "restricted")
@@ -44,20 +45,23 @@ class BaselineComparisonResult:
         return [r["algorithm"] for r in sorted(self.rows, key=lambda r: -r["goodput_bps"])]
 
 
-def run_baseline_comparison(
+def baselines_spec(
     algorithms: Sequence[str] = DEFAULT_BASELINES,
     duration: float = 15.0,
     config: PathConfig | None = None,
     seed: int = 1,
-    max_workers: int | None = None,
-) -> BaselineComparisonResult:
-    """Run the paper's single-flow workload under each algorithm."""
-    cfg = config if config is not None else PathConfig()
-    specs = [RunSpec(cc=algo, config=cfg, duration=duration, seed=seed)
-             for algo in algorithms]
-    runs = map_specs(specs, max_workers=max_workers)
-    result = BaselineComparisonResult(duration=duration)
-    for algo, run in zip(algorithms, runs):
+) -> ComparisonSpec:
+    """The paper's single-flow workload under each algorithm."""
+    return ComparisonSpec(
+        base=RunSpec(config=config if config is not None else PathConfig(),
+                     duration=duration, seed=seed),
+        algorithms=tuple(algorithms), baseline=algorithms[0])
+
+
+def baselines_from_comparison(comparison: ComparisonResult) -> BaselineComparisonResult:
+    """Fold an executed :func:`baselines_spec` comparison into its rows."""
+    result = BaselineComparisonResult(duration=comparison.spec.base.duration)
+    for algo, run in comparison.runs.items():
         result.rows.append({
             "algorithm": algo,
             "goodput_bps": run.flow.goodput_bps,
@@ -65,7 +69,7 @@ def run_baseline_comparison(
             "send_stalls": run.flow.send_stalls,
             "congestion_signals": run.flow.congestion_signals,
             "retrans": run.flow.pkts_retrans,
-            "max_cwnd_segments": run.flow.max_cwnd_bytes / cfg.mss,
+            "max_cwnd_segments": run.flow.max_cwnd_bytes / run.config.mss,
         })
     return result
 

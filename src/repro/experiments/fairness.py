@@ -18,14 +18,16 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..analysis.tables import Table
+from ..campaign.spec import CampaignSpec
 from ..errors import ExperimentError
-from ..spec import MultiFlowSpec, execute, from_bulk_flows
+from ..spec import MultiFlowSpec, from_bulk_flows
 from ..units import format_rate
 from ..workloads.bulk import BulkFlowSpec
 from ..workloads.scenarios import PathConfig
-from .runner import MultiFlowResult
+from .runner import CampaignResult, MultiFlowResult
 
-__all__ = ["FairnessResult", "run_fairness", "render_fairness", "flow_mix"]
+__all__ = ["FairnessResult", "fairness_spec", "fairness_from_campaign", "render_fairness",
+           "flow_mix"]
 
 
 def flow_mix(n_flows: int, mix: str) -> list[BulkFlowSpec]:
@@ -59,55 +61,57 @@ class FairnessResult:
         raise ExperimentError(f"no row for n_flows={n_flows}, mix={mix!r}")
 
 
-def run_fairness(
+def fairness_spec(
     flow_counts: Sequence[int] = (2, 4),
     mixes: Sequence[str] = ("standard", "restricted", "half"),
     duration: float = 15.0,
     config: PathConfig | None = None,
     seed: int = 1,
-    backend: str = "packet",
-) -> FairnessResult:
-    """Run every (flow count, mix) combination.
+) -> CampaignSpec:
+    """A campaign of one dumbbell scenario per (flow count, mix).
 
-    Each combination is expressed as a declarative dumbbell scenario
-    (:func:`repro.spec.from_bulk_flows`) executed through a
-    :class:`~repro.spec.MultiFlowSpec` — the same path ``repro run
-    --scenario`` takes.  ``backend="fluid"`` routes every point through
-    the N-flow coupled fluid model instead of the packet engine (the
-    fairness fast path; Jain agreement is ±0.05 on the cross-validation
-    grid, see ``repro.fluid.validate.cross_validate_fairness``).
+    ``with_backend("fluid")`` routes every cell through the N-flow coupled
+    fluid model (the fairness fast path; Jain agreement is ±0.05 on the
+    cross-validation grid, see ``repro.fluid.validate.cross_validate_fairness``).
     """
-    cfg = config if config is not None else PathConfig()
-    result = FairnessResult(duration=duration)
-    for n_flows in flow_counts:
-        for mix in mixes:
-            specs = flow_mix(n_flows, mix)
-            run = execute(MultiFlowSpec(
-                scenario=from_bulk_flows(specs, config=cfg),
-                duration=duration, seed=seed, backend=backend))
-            result.runs[(n_flows, mix)] = run
-            restricted_goodput = sum(
-                f.goodput_bps for f in run.flows if f.algorithm == "restricted"
-            )
-            standard_goodput = sum(
-                f.goodput_bps for f in run.flows if f.algorithm != "restricted"
-            )
-            result.rows.append({
-                "n_flows": n_flows,
-                "mix": mix,
-                "aggregate_goodput_bps": run.aggregate_goodput_bps,
-                "utilization": run.link_utilization,
-                "jain_index": run.jain_index,
-                "total_send_stalls": run.total_send_stalls,
-                "bottleneck_drops": run.bottleneck_drops,
-                "restricted_share": (
-                    restricted_goodput / run.aggregate_goodput_bps
-                    if run.aggregate_goodput_bps > 0 and mix == "half" else None
-                ),
-                "standard_goodput_bps": standard_goodput,
-                "restricted_goodput_bps": restricted_goodput,
-            })
-    return result
+    return CampaignSpec(name="fairness", units=tuple(
+        MultiFlowSpec(scenario=from_bulk_flows(flow_mix(n_flows, mix), config=config),
+                      duration=duration, seed=seed)
+        for n_flows in flow_counts for mix in mixes))
+
+
+def fairness_from_campaign(
+    result: CampaignResult,
+    flow_counts: Sequence[int] = (2, 4),
+    mixes: Sequence[str] = ("standard", "restricted", "half"),
+) -> FairnessResult:
+    """Fold an executed :func:`fairness_spec` campaign (same grid)."""
+    cells = [(n_flows, mix) for n_flows in flow_counts for mix in mixes]
+    folded = FairnessResult(duration=result.runs[0].spec.duration)
+    for (n_flows, mix), run in zip(cells, result.runs, strict=True):
+        folded.runs[(n_flows, mix)] = run
+        restricted_goodput = sum(
+            f.goodput_bps for f in run.flows if f.algorithm == "restricted"
+        )
+        standard_goodput = sum(
+            f.goodput_bps for f in run.flows if f.algorithm != "restricted"
+        )
+        folded.rows.append({
+            "n_flows": n_flows,
+            "mix": mix,
+            "aggregate_goodput_bps": run.aggregate_goodput_bps,
+            "utilization": run.link_utilization,
+            "jain_index": run.jain_index,
+            "total_send_stalls": run.total_send_stalls,
+            "bottleneck_drops": run.bottleneck_drops,
+            "restricted_share": (
+                restricted_goodput / run.aggregate_goodput_bps
+                if run.aggregate_goodput_bps > 0 and mix == "half" else None
+            ),
+            "standard_goodput_bps": standard_goodput,
+            "restricted_goodput_bps": restricted_goodput,
+        })
+    return folded
 
 
 def render_fairness(result: FairnessResult) -> str:

@@ -58,19 +58,26 @@ def default_worker_count() -> int:
     return max(cpus // 2, 1)
 
 
-def map_specs(specs: Sequence[SpecBase], max_workers: int | None = None) -> list:
+def map_specs(specs: Sequence[SpecBase], max_workers: int | None = None,
+              store=None) -> list:
     """Execute every spec, in input order, optionally across a process pool.
 
     Each worker receives (pickles) exactly one spec and returns its result.
     ``max_workers`` of 0 or 1 runs serially in-process; ``None`` uses
-    :func:`default_worker_count`.
+    :func:`default_worker_count`.  ``store`` (a
+    :class:`repro.campaign.ResultStore`) records every result.
     """
     if not specs:
         raise ExperimentError("specs must not be empty")
     if max_workers is None:
         max_workers = default_worker_count()
     if max_workers <= 1 or len(specs) == 1:
-        return [execute(spec) for spec in specs]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(execute, spec) for spec in specs]
-        return [f.result() for f in futures]
+        results = [execute(spec) for spec in specs]
+    else:
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+            futures = [pool.submit(execute, spec) for spec in specs]
+            results = [f.result() for f in futures]
+    if store is not None:
+        for result in results:
+            store.put(result)
+    return results

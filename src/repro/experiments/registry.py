@@ -1,33 +1,28 @@
 """Experiment registry — one entry per paper figure, table and ablation.
 
 Maps the experiment identifiers used throughout the documentation (E1, E2,
-...) to what regenerates them.  Every experiment the spec layer can express
-carries a declarative :mod:`repro.spec` object — the unit of dispatch,
-serialization (``repro spec dump E3``) and caching — and uniform overrides
-(path, duration, seed, backend) are applied through the spec's ``with_*``
-methods, so there are no per-experiment keyword shims.  The fluid fast-path
-variants (``E1F`` ...) are generated from the packet specs via
-``spec.with_backend("fluid")``.
-
-The ablation/extension experiments whose shape the spec layer does not
-model yet (E7 tuning rules, E8 baselines, E9 fairness) keep a legacy
-``runner`` callable with the uniform ``(config=, duration=, seed=)``
-keywords.
+...) to what regenerates them: a declarative :mod:`repro.spec` object — the
+unit of dispatch, serialization (``repro spec dump E3``), caching and
+campaigns; a :class:`~repro.campaign.CampaignSpec` of cells for the grids no
+one sweep parameter spans (E7, E9, E13) — and the fold of its result into
+the experiment's table.  Uniform overrides (path, duration, seed, backend)
+are applied through the spec's ``with_*`` methods, or by rebuilding E13,
+whose cells derive from them.  The fluid fast-path variants (``E1F`` ...)
+are generated from the packet specs via ``spec.with_backend("fluid")``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import ExperimentError
 from ..spec import MultiFlowSpec, SpecBase, execute, parking_lot
 from ..workloads.scenarios import PathConfig
-from .aqm_gallery import run_aqm_gallery
-from .baselines import run_baseline_comparison
-from .fairness import run_fairness
+from .aqm_gallery import aqm_gallery_from_campaign, aqm_gallery_grid_spec
+from .baselines import baselines_from_comparison, baselines_spec
+from .fairness import fairness_from_campaign, fairness_spec
 from .figure1 import figure1_from_comparison, figure1_spec
 from .sweeps import (
     bandwidth_sweep_spec,
@@ -38,140 +33,91 @@ from .sweeps import (
     transfer_size_sweep_spec,
 )
 from .throughput import throughput_from_comparison, throughput_spec
-from .tuning_ablation import run_tuning_ablation
+from .tuning_ablation import tuning_ablation_from_campaign, tuning_ablation_spec
 
 __all__ = ["ExperimentSpec", "EXPERIMENTS", "get_experiment", "all_experiments"]
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Description of one reproducible experiment.
-
-    Exactly one of ``spec`` (a declarative :mod:`repro.spec` object, for
-    spec-expressible experiments) or ``runner`` (a legacy callable taking
-    ``config=``/``duration=``/``seed=``) is set.  ``build_result`` folds an
-    executed spec's raw result into the experiment's result type (e.g. a
-    ``ComparisonResult`` into a ``Figure1Result``).
-    """
+    """Description of one reproducible experiment."""
 
     experiment_id: str
     paper_artifact: str
     description: str
     benchmark: str
-    #: Declarative configuration of the experiment, ``None`` for legacy entries.
-    spec: SpecBase | None = None
-    #: Folds ``execute(spec)``'s result into the experiment's result type.
+    #: Declarative configuration of the experiment.
+    spec: SpecBase
+    #: Folds ``execute(spec)``'s result into the experiment's result type
+    #: (e.g. a ``ComparisonResult`` into a ``Figure1Result``).
     build_result: Callable | None = None
-    #: Legacy callable for experiments without a declarative spec (E7..E9).
-    runner: Callable | None = None
+    #: Rebuilds ``spec`` from ``config=``/``duration=``/``seed=`` overrides,
+    #: for an experiment whose cells derive their path or flow starts from
+    #: them (E13); ``None`` applies overrides through ``spec.with_*``.
+    builder: Callable[..., SpecBase] | None = None
     #: Experiment id of the packet counterpart for derived (fluid) variants.
     base_id: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.spec is None) == (self.runner is None):
-            raise ExperimentError(
-                f"experiment {self.experiment_id!r} needs exactly one of "
-                "spec= or runner=")
 
     # ------------------------------------------------------------------
     @property
     def backend_aware(self) -> bool:
-        """Whether the entry accepts backend overrides.
-
-        Spec-carrying entries route through ``with_backend``; legacy
-        entries are backend-aware when their runner takes a ``backend``
-        keyword (e.g. E9's fairness runner, which dispatches its
-        ``MultiFlowSpec`` points to either engine).
-        """
-        if self.spec is not None:
-            return self.base_id is None
-        return "backend" in inspect.signature(self.runner).parameters
+        """Whether the entry accepts backend overrides (not a derived variant)."""
+        return self.base_id is None
 
     @property
     def pinned_backend(self) -> str | None:
         """Backend a derived variant is pinned to, ``None`` when selectable."""
-        if self.spec is None or self.base_id is None:
-            return None
-        return self.spec.backend
+        return self.spec.backend if self.base_id is not None else None
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        *,
-        config: PathConfig | None = None,
-        duration: float | None = None,
-        seed: int | None = None,
-        backend: str | None = None,
-        max_workers: int | None = None,
-        store=None,
-        **overrides,
-    ):
-        """Execute the experiment with uniform overrides applied.
-
-        For spec-carrying entries the overrides go through the spec's
-        ``with_*`` methods and extra keywords are rejected; legacy entries
-        forward ``config``/``duration``/``seed`` plus any extra keywords to
-        their runner and reject backend selection.
-
-        ``store`` (a :class:`repro.campaign.ResultStore`) records the
-        executed spec's raw result in the content-addressed cache
-        (write-through), so campaign runs and ``repro validate --store``
-        sharing the same spec hit it later.  Only spec-carrying entries
-        qualify — legacy runners produce results without a cache key.
-        """
-        if store is not None and self.spec is None:
+    def configured_spec(self, *, config: PathConfig | None = None,
+                        duration: float | None = None, seed: int | None = None,
+                        backend: str | None = None) -> SpecBase:
+        """``spec`` with the given uniform overrides applied (``config``
+        replaces the default path every registry spec is built on)."""
+        if (backend is not None and self.base_id is not None
+                and backend != self.pinned_backend):
             raise ExperimentError(
-                f"experiment {self.experiment_id} is a legacy runner whose "
-                "results carry no spec/cache key; it cannot be recorded in "
-                "a result store")
-        if self.spec is not None:
+                f"experiment {self.experiment_id} is pinned to the "
+                f"{self.pinned_backend} backend; run {self.base_id} instead")
+        spec = self.spec
+        if self.builder is not None:
+            overrides = {key: value for key, value in
+                         (("config", config), ("duration", duration), ("seed", seed))
+                         if value is not None}
             if overrides:
-                raise ExperimentError(
-                    f"unknown override(s) {sorted(overrides)} for spec-driven "
-                    f"experiment {self.experiment_id}")
-            if (backend is not None and self.base_id is not None
-                    and backend != self.pinned_backend):
-                raise ExperimentError(
-                    f"experiment {self.experiment_id} is pinned to the "
-                    f"{self.pinned_backend} backend; run {self.base_id} instead")
-            spec = self.spec
+                spec = self.builder(**overrides).with_backend(spec.backend)
+        else:
             if config is not None:
                 spec = spec.with_config(config)
             if duration is not None:
                 spec = spec.with_duration(duration)
             if seed is not None:
                 spec = spec.with_seed(seed)
-            if backend is not None:
-                spec = spec.with_backend(backend)
-            # the *raw* spec results are what the cache keys address (the
-            # folded build_result view is derived presentation); execute's
-            # write-through stores the composite and its atomic components
-            result = execute(spec, max_workers=max_workers, store=store)
-            if self.build_result:
-                folded = self.build_result(result)
-                # build_result derives a presentation view; carry the raw
-                # result's telemetry sidecar across the fold so --profile
-                # works on folded experiments too
-                folded.telemetry = getattr(result, "telemetry", None)
-                return folded
+        if backend is not None:
+            spec = spec.with_backend(backend)
+        return spec
+
+    def run(self, *, max_workers: int | None = None, store=None, **overrides):
+        """Execute the experiment with :meth:`configured_spec`'s overrides.
+
+        ``store`` (a :class:`repro.campaign.ResultStore`) records the
+        executed spec's raw result in the content-addressed cache
+        (write-through), so campaigns and ``repro validate --store``
+        sharing the same spec hit it later.
+        """
+        spec = self.configured_spec(**overrides)
+        # the *raw* spec results are what the cache keys address (the
+        # folded build_result view is derived presentation); execute's
+        # write-through stores the composite and its atomic components
+        result = execute(spec, max_workers=max_workers, store=store)
+        if self.build_result is None:
             return result
-        if backend not in (None, "packet") and not self.backend_aware:
-            raise ExperimentError(
-                f"experiment {self.experiment_id} runs on the packet engine "
-                f"only (got backend {backend!r})")
-        kwargs = {key: value for key, value in
-                  (("config", config), ("duration", duration), ("seed", seed))
-                  if value is not None}
-        if backend is not None and self.backend_aware:
-            kwargs["backend"] = backend
-        kwargs.update(overrides)
-        if max_workers is not None:
-            if "max_workers" not in inspect.signature(self.runner).parameters:
-                raise ExperimentError(
-                    f"experiment {self.experiment_id}'s runner does not "
-                    "accept max_workers")
-            kwargs["max_workers"] = max_workers
-        return self.runner(**kwargs)
+        folded = self.build_result(result)
+        # build_result derives a presentation view; carry the raw result's
+        # telemetry sidecar across the fold so --profile works on it too
+        folded.telemetry = getattr(result, "telemetry", None)
+        return folded
 
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
@@ -215,19 +161,19 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         "E7", "ablation",
         "Ziegler-Nichols tuning-rule comparison",
         "benchmarks/bench_tuning_rules.py",
-        runner=run_tuning_ablation,
+        spec=tuning_ablation_spec(), build_result=tuning_ablation_from_campaign,
     ),
     "E8": ExperimentSpec(
         "E8", "extension",
         "Versus Limited Slow-Start, HyStart, CUBIC and NewReno",
         "benchmarks/bench_baselines.py",
-        runner=run_baseline_comparison,
+        spec=baselines_spec(), build_result=baselines_from_comparison,
     ),
     "E9": ExperimentSpec(
         "E9", "extension",
         "Multi-flow fairness and utilisation",
         "benchmarks/bench_fairness.py",
-        runner=run_fairness,
+        spec=fairness_spec(), build_result=fairness_from_campaign,
     ),
     "E10": ExperimentSpec(
         "E10", "extension",
@@ -255,7 +201,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         "AQM + ECN gallery: restricted/reno/cubic/prague over "
         "droptail/red/codel/dualpi2 bottlenecks",
         "benchmarks/bench_aqm_gallery.py",
-        runner=run_aqm_gallery,
+        spec=aqm_gallery_grid_spec(), build_result=aqm_gallery_from_campaign,
+        builder=aqm_gallery_grid_spec,
     ),
 }
 
@@ -276,21 +223,18 @@ def _fluid_benchmark(spec: SpecBase) -> str:
     Single-flow specs are covered by the single-flow speedup/agreement
     bench; fairness-style (multi-flow) specs by the multi-flow one.
     """
-    from ..spec import SweepSpec
-
-    fairness = (isinstance(spec, MultiFlowSpec)
-                or (isinstance(spec, SweepSpec)
-                    and isinstance(spec.base, MultiFlowSpec)))
+    members = getattr(spec, "units", ()) or (getattr(spec, "base", spec),)
+    fairness = any(isinstance(member, MultiFlowSpec) for member in members)
     return ("benchmarks/bench_fluid_fairness.py" if fairness
             else "benchmarks/bench_fluid_vs_packet.py")
 
 
-#: Fluid fast-path variants: every fluid-capable spec-carrying experiment
-#: derived via ``spec.with_backend("fluid")`` and registered as ``<id>F`` so
-#: sweeps can be listed, scripted and regenerated on the fast path
-#: (cross-validated against the packet engine by
-#: ``benchmarks/bench_fluid_vs_packet.py``).  Packet-only specs (multi-flow
-#: scenarios such as E11) get no derived variant.
+#: Fluid fast-path variants: every fluid-capable experiment derived via
+#: ``spec.with_backend("fluid")`` and registered as ``<id>F`` so sweeps can
+#: be listed, scripted and regenerated on the fast path (cross-validated
+#: against the packet engine by ``benchmarks/bench_fluid_vs_packet.py``).
+#: Packet-only specs (multi-flow scenarios such as E11, the AQM cells of
+#: E13, algorithms without a fluid growth rule as in E8) get no variant.
 EXPERIMENTS.update({
     f"{entry.experiment_id}F": dataclasses.replace(
         entry,
@@ -301,7 +245,7 @@ EXPERIMENTS.update({
         base_id=entry.experiment_id,
     )
     for entry in list(EXPERIMENTS.values())
-    if entry.spec is not None and _supports_fluid(entry.spec)
+    if _supports_fluid(entry.spec)
 })
 
 

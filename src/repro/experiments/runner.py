@@ -25,7 +25,7 @@ from ..instrumentation.tracer import TimeSeriesTracer
 from ..metrics import FlowRecord, PopulationSummary, SummaryAccumulator
 from ..obs import telemetry as obs
 from ..sim.engine import Simulator
-from ..spec import ComparisonSpec, MultiFlowSpec, RunSpec
+from ..spec import ComparisonSpec, MultiFlowSpec, RunSpec, SpecBase
 from ..workloads.compile import (
     attach_workload,
     compile_scenario,
@@ -41,6 +41,7 @@ __all__ = [
     "SingleFlowResult",
     "MultiFlowResult",
     "ComparisonResult",
+    "CampaignResult",
     "execute_packet_run",
     "execute_multi_flow_spec",
     "multi_flow_aggregates",
@@ -166,6 +167,15 @@ class ComparisonResult:
 
     def stall_counts(self) -> dict[str, int]:
         return {name: run.send_stalls for name, run in self.runs.items()}
+
+
+@dataclass
+class CampaignResult:
+    """The unit results of an executed campaign, in ``expand()`` order."""
+
+    runs: list
+    #: The campaign spec that produced this result (provenance).
+    spec: SpecBase | None = None
 
 
 @dataclass

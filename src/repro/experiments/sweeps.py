@@ -139,10 +139,7 @@ def execute_sweep_spec(spec: SweepSpec, *, max_workers: int | None = None,
     if not points:
         return result
     flat = [run_spec for _, by_algo in points for run_spec in by_algo.values()]
-    executed = map_specs(flat, max_workers=max_workers)
-    if store is not None:
-        for run in executed:
-            store.put(run)
+    executed = map_specs(flat, max_workers=max_workers, store=store)
     runs = iter(executed)
     for value, by_algo in points:
         results = {algo: next(runs) for algo in by_algo}

@@ -16,6 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from ..analysis.tables import Table
+from ..campaign.spec import CampaignSpec
+from ..control.pid import PIDGains
 from ..control.ziegler_nichols import PAPER_RULE, TUNING_RULES, gains_from_ultimate
 from ..core.config import DEFAULT_ULTIMATE, RestrictedSlowStartConfig
 from ..core.tuning import autotune_gains_fluid
@@ -23,12 +25,18 @@ from ..errors import ExperimentError
 from ..spec import RunSpec
 from ..units import format_rate
 from ..workloads.scenarios import PathConfig
-from .parallel import map_specs
+from .runner import CampaignResult
 
-__all__ = ["TuningAblationResult", "run_tuning_ablation", "render_tuning_ablation"]
+__all__ = ["TuningAblationResult", "tuning_ablation_spec", "tuning_ablation_from_campaign",
+           "render_tuning_ablation"]
 
 #: Rules compared by default (the paper's rule first).
 DEFAULT_RULES = (PAPER_RULE, "zn_classic_pid", "zn_classic_pi", "tyreus_luyben", "no_overshoot")
+
+#: ``autotune_gains_fluid(PathConfig(), rule=PAPER_RULE).gains``, pinned so
+#: building the registry's E7 spec runs no tuner (a test keeps it equal).
+DEFAULT_RELAY_GAINS = PIDGains(kp=0.8403380995252074, ki=12.527836771036354,
+                               kd=0.03720282828688592)
 
 
 @dataclass
@@ -53,39 +61,41 @@ class TuningAblationResult:
         return max(candidates, key=lambda r: r["goodput_bps"])["rule"]
 
 
-def run_tuning_ablation(
+def tuning_ablation_spec(
     rules: Sequence[str] = DEFAULT_RULES,
     include_relay_tuned: bool = True,
     duration: float = 12.0,
     config: PathConfig | None = None,
     seed: int = 1,
-    max_workers: int | None = None,
-) -> TuningAblationResult:
-    """Run restricted slow-start under gains from each tuning rule."""
+) -> CampaignSpec:
+    """A campaign of one restricted run per rule's gains (all from
+    :data:`DEFAULT_ULTIMATE`), then one with gains relay-tuned on ``config``."""
     cfg = config if config is not None else PathConfig()
-    labels: list[str] = []
-    specs: list[RunSpec] = []
-    ultimate = DEFAULT_ULTIMATE
+    gains = []
     for rule in rules:
         if rule not in TUNING_RULES:
             raise ExperimentError(f"unknown tuning rule {rule!r}")
-        gains = gains_from_ultimate(ultimate, rule)
-        rss = RestrictedSlowStartConfig(gains=gains)
-        labels.append(rule)
-        specs.append(RunSpec(cc="restricted", config=cfg, duration=duration,
-                             seed=seed, rss_config=rss))
+        gains.append(gains_from_ultimate(DEFAULT_ULTIMATE, rule))
     if include_relay_tuned:
-        tuned = autotune_gains_fluid(cfg, rule=PAPER_RULE)
-        rss = RestrictedSlowStartConfig(gains=tuned.gains)
-        labels.append("relay_tuned+" + PAPER_RULE)
-        specs.append(RunSpec(cc="restricted", config=cfg, duration=duration,
-                             seed=seed, rss_config=rss))
+        gains.append(DEFAULT_RELAY_GAINS if config is None
+                     else autotune_gains_fluid(cfg, rule=PAPER_RULE).gains)
+    return CampaignSpec(name="tuning_ablation", units=tuple(
+        RunSpec(cc="restricted", config=cfg, duration=duration, seed=seed,
+                rss_config=RestrictedSlowStartConfig(gains=g))
+        for g in gains))
 
-    runs = map_specs(specs, max_workers=max_workers)
-    result = TuningAblationResult(duration=duration)
-    for label, run in zip(labels, runs):
-        tail = run.ifq_occupancy[run.ifq_times > duration / 2.0]
-        result.rows.append({
+
+def tuning_ablation_from_campaign(
+    result: CampaignResult,
+    rules: Sequence[str] = DEFAULT_RULES,
+    include_relay_tuned: bool = True,
+) -> TuningAblationResult:
+    """Fold an executed :func:`tuning_ablation_spec` campaign (same rules)."""
+    labels = [*rules] + (["relay_tuned+" + PAPER_RULE] if include_relay_tuned else [])
+    folded = TuningAblationResult(duration=result.runs[0].spec.duration)
+    for label, run in zip(labels, result.runs, strict=True):
+        tail = run.ifq_occupancy[run.ifq_times > folded.duration / 2.0]
+        folded.rows.append({
             "rule": label,
             "goodput_bps": run.flow.goodput_bps,
             "send_stalls": run.flow.send_stalls,
@@ -94,7 +104,7 @@ def run_tuning_ablation(
             "ifq_tail_mean": float(np.mean(tail)) if tail.size else 0.0,
             "setpoint_packets": 0.9 * run.config.ifq_capacity_packets,
         })
-    return result
+    return folded
 
 
 def render_tuning_ablation(result: TuningAblationResult) -> str:

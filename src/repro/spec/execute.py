@@ -2,8 +2,8 @@
 
 :func:`execute` dispatches on the spec's type: a :class:`RunSpec` or
 :class:`MultiFlowSpec` goes straight to its backend's engine, the composite
-specs fan out into :class:`RunSpec` derivations (optionally across a process
-pool via ``max_workers``).  Every result carries its originating spec on a
+specs fan out into their atomic specs (optionally across a process pool
+via ``max_workers``).  Every result carries its originating spec on a
 ``spec`` attribute — the provenance record that result persistence and
 cache keying build on.
 """
@@ -38,6 +38,8 @@ def execute(spec: SpecBase, *, max_workers: int | None = None,
     * :class:`ComparisonSpec` → ``ComparisonResult``;
     * :class:`MultiFlowSpec` → ``MultiFlowResult``;
     * :class:`SweepSpec` → ``SweepResult``;
+    * a :class:`~repro.campaign.CampaignSpec` → ``CampaignResult`` (unit
+      results in ``expand()`` order);
     * a bare :class:`ScenarioSpec` → ``MultiFlowResult`` (wrapped in a
       default ``MultiFlowSpec`` carrying the scenario).
 
@@ -46,10 +48,10 @@ def execute(spec: SpecBase, *, max_workers: int | None = None,
     workers pickle exactly one spec each.
 
     ``store`` (a :class:`repro.campaign.ResultStore`) records every
-    executed spec-carrying result write-through: the composite *and* its
-    atomic components (one per comparison algorithm / sweep point), so
-    campaigns — which address work at the flattened per-run granularity —
-    hit them later.
+    executed spec-carrying result write-through: the composite (not a
+    campaign) *and* its atomic components (one per comparison algorithm /
+    sweep point / campaign unit), so campaigns — which address work at the
+    flattened per-run granularity — hit them later.
     """
     if isinstance(spec, ScenarioSpec):
         return execute(MultiFlowSpec(scenario=spec), max_workers=max_workers,
@@ -64,9 +66,18 @@ def execute(spec: SpecBase, *, max_workers: int | None = None,
         result = execute_sweep_spec(spec, max_workers=max_workers, store=store)
         result.spec = spec
         return _stored(store, result)
+    if getattr(spec, "kind", None) == "campaign":
+        from ..experiments.parallel import map_specs
+        from ..experiments.runner import CampaignResult
+
+        runs = map_specs([unit.spec for unit in spec.expand()],
+                         max_workers=max_workers, store=store)
+        result = CampaignResult(runs=runs, spec=spec)
+        result.telemetry = aggregate(runs)
+        return result
     raise ExperimentError(
-        f"cannot execute {type(spec).__name__}; expected one of "
-        "RunSpec, ComparisonSpec, MultiFlowSpec, SweepSpec, ScenarioSpec")
+        f"cannot execute {type(spec).__name__}; expected one of RunSpec, "
+        "ComparisonSpec, MultiFlowSpec, SweepSpec, CampaignSpec, ScenarioSpec")
 
 
 def _stored(store: "ResultStore | None", result: Any) -> Any:
@@ -122,20 +133,12 @@ def _execute_on_engine(spec: RunSpec | MultiFlowSpec) -> Any:
 def _execute_comparison(spec: ComparisonSpec, *,
                         max_workers: int | None = None,
                         store: "ResultStore | None" = None) -> Any:
+    from ..experiments.parallel import map_specs
     from ..experiments.runner import ComparisonResult
 
     run_specs = spec.run_specs()
-    if max_workers is not None and max_workers > 1 and len(run_specs) > 1:
-        from ..experiments.parallel import map_specs
-
-        results = map_specs(list(run_specs.values()), max_workers=max_workers)
-        runs = dict(zip(run_specs, results))
-    else:
-        runs = {cc: _execute_on_engine(run_spec)
-                for cc, run_spec in run_specs.items()}
-    if store is not None:
-        for child in runs.values():
-            store.put(child)
+    runs = dict(zip(run_specs, map_specs(list(run_specs.values()),
+                                         max_workers=max_workers, store=store)))
     result = ComparisonResult(baseline=spec.baseline, runs=runs)
     result.spec = spec
     result.telemetry = aggregate(runs.values())

@@ -331,6 +331,18 @@ def _reject_restricted_cc_kwargs(cc_kwargs: dict, algorithms: tuple[str, ...]) -
             "flows=")
 
 
+def _reject_unless_fluid_algorithms(backend: str, algorithms: tuple[str, ...]) -> None:
+    """Refuse, when a fluid spec is built, algorithms without a fluid
+    growth rule: a run's own ``cc``, or every algorithm of a composite."""
+    if backend != "fluid":
+        return
+    unsupported = [algo for algo in algorithms if algo not in _fluid_algorithms()]
+    if unsupported:
+        raise UnsupportedScenarioError(
+            f"the fluid backend has no growth rule for {', '.join(map(repr, unsupported))}; "
+            f"supported: {list(_fluid_algorithms())} (use backend='packet')")
+
+
 @functools.cache
 def _fluid_algorithms() -> tuple[str, ...]:
     """Algorithms the fluid engines have a growth rule for.
@@ -611,10 +623,7 @@ class RunSpec(SpecBase):
         The algorithm check is a lookup: campaigns build many specs and run
         few, so construction never builds the default scenario.
         """
-        if self.cc not in _fluid_algorithms():
-            raise UnsupportedScenarioError(
-                f"the fluid backend has no growth rule for {self.cc!r}; "
-                f"supported: {list(_fluid_algorithms())} (use backend='packet')")
+        _reject_unless_fluid_algorithms(self.backend, (self.cc,))
         if self.scenario is not None:
             from .scenario import fluid_unsupported_features
 
@@ -686,6 +695,7 @@ class ComparisonSpec(SpecBase):
             raise ExperimentError(
                 f"baseline {self.baseline!r} must be one of {list(self.algorithms)}")
         _reject_restricted_cc_kwargs(self.base.cc_kwargs, self.algorithms)
+        _reject_unless_fluid_algorithms(self.base.backend, self.algorithms)
 
     def run_specs(self) -> dict[str, RunSpec]:
         """The per-algorithm :class:`RunSpec` derivations, in tuple order."""
@@ -950,6 +960,7 @@ class SweepSpec(SpecBase):
         if not self.algorithms:
             raise ExperimentError("at least one algorithm is required")
         _reject_restricted_cc_kwargs(self.base.cc_kwargs, self.algorithms)
+        _reject_unless_fluid_algorithms(self.base.backend, self.algorithms)
         if self.row_style == "single" and len(self.algorithms) != 1:
             # its unprefixed ifq_peak/ifq_drops columns cannot attribute
             # more than one algorithm

@@ -8,6 +8,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, CampaignUnit
 from repro.errors import ExperimentError
+from repro.experiments import get_experiment
 from repro.experiments.sweeps import ifq_sweep_spec
 from repro.spec import (
     ComparisonSpec,
@@ -48,10 +49,13 @@ class TestConstruction:
         with pytest.raises(ExperimentError, match="unknown experiment"):
             CampaignSpec(experiments=("E42",))
 
-    def test_legacy_experiment_rejected_by_name(self):
-        # E7 is runner-only: no spec, no cache key, cannot be memoized
-        with pytest.raises(ExperimentError, match="E7"):
-            CampaignSpec(experiments=("E7",))
+    def test_campaign_experiment_contributes_its_units(self):
+        # E7's spec is itself a campaign: it flattens into its cells,
+        # labelled under the experiment id
+        units = CampaignSpec(experiments=("E7F",)).expand()
+        cells = get_experiment("E7F").spec.expand()
+        assert [u.spec for u in units] == [c.spec for c in cells]
+        assert [u.label for u in units] == [f"E7F/{c.label}" for c in cells]
 
     def test_scenario_not_a_unit(self):
         with pytest.raises(ExperimentError):
@@ -87,6 +91,35 @@ class TestExpansion:
         units = campaign.expand()
         assert len(units) == 1
         assert units[0].spec.kind == "multi_flow"
+
+
+class TestOverrides:
+    """``with_*`` apply to every unit and sweep, as on the other kinds."""
+
+    def campaign(self) -> CampaignSpec:
+        return CampaignSpec(
+            units=(RunSpec(duration=1.0),
+                   ComparisonSpec(base=RunSpec(duration=1.0))),
+            sweeps=(ifq_sweep_spec(sizes=(10, 20), duration=1.0),))
+
+    def test_every_member_takes_the_override(self):
+        campaign = self.campaign()
+        for method, value in (("with_config", TINY_PATH), ("with_duration", 2.0),
+                              ("with_seed", 5), ("with_backend", "fluid")):
+            changed = getattr(campaign, method)(value)
+            assert changed.units == tuple(getattr(unit, method)(value)
+                                          for unit in campaign.units)
+            assert changed.sweeps == tuple(getattr(sweep, method)(value)
+                                           for sweep in campaign.sweeps)
+
+    def test_path_and_backend_read_the_first_unit(self):
+        campaign = self.campaign().with_config(TINY_PATH).with_backend("fluid")
+        assert campaign.path_config == TINY_PATH
+        assert campaign.backend == "fluid"
+
+    def test_named_experiments_refuse_overrides(self):
+        with pytest.raises(ExperimentError, match="E3F"):
+            CampaignSpec(experiments=("E3F",)).with_seed(2)
 
 
 class TestSerialization:

@@ -5,14 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import (
-    EXPERIMENTS,
-    aqm_gallery_spec,
-    get_experiment,
-    render_aqm_gallery,
-    run_aqm_gallery,
-)
-from repro.spec import MultiFlowSpec
+from repro.experiments import EXPERIMENTS, aqm_gallery_spec, get_experiment, render_aqm_gallery
+from repro.experiments.aqm_gallery import aqm_gallery_from_campaign, aqm_gallery_grid_spec
+from repro.spec import MultiFlowSpec, execute
 from repro.testing import SMALL_PATH
 
 
@@ -23,11 +18,11 @@ def small_gallery():
     The router buffer is shallow enough that the rwnd-capped flows still
     overshoot it on the drop-tail baseline.
     """
-    return run_aqm_gallery(
-        ccs=("prague",), disciplines=("droptail", "dualpi2"),
-        n_flows=2, duration=3.0,
-        config=SMALL_PATH.replace(router_buffer_packets=30),
-        seed=2, max_workers=1)
+    grid = dict(ccs=("prague",), disciplines=("droptail", "dualpi2"))
+    spec = aqm_gallery_grid_spec(
+        **grid, n_flows=2, duration=3.0,
+        config=SMALL_PATH.replace(router_buffer_packets=30), seed=2)
+    return aqm_gallery_from_campaign(execute(spec, max_workers=1), **grid)
 
 
 class TestGallerySpec:
@@ -44,8 +39,16 @@ class TestGallerySpec:
         assert not any(f.ecn for f in spec.scenario.flows)
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ExperimentError, match="at least one"):
-            run_aqm_gallery(ccs=(), disciplines=("red",))
+        with pytest.raises(ExperimentError, match="empty campaign"):
+            aqm_gallery_grid_spec(ccs=(), disciplines=("red",))
+
+    def test_grid_is_a_campaign_of_cells(self):
+        spec = aqm_gallery_grid_spec(ccs=("reno", "prague"),
+                                     disciplines=("droptail", "red"),
+                                     config=SMALL_PATH, duration=2.0)
+        assert list(spec.units) == [
+            aqm_gallery_spec(cc, discipline, config=SMALL_PATH, duration=2.0)
+            for cc in ("reno", "prague") for discipline in ("droptail", "red")]
 
 
 class TestGalleryRun:
@@ -83,10 +86,10 @@ class TestGalleryRun:
 class TestRegistry:
     def test_e13_runs_through_the_registry(self):
         result = get_experiment("E13").run(
-            config=SMALL_PATH, duration=1.0, seed=3,
-            ccs=("reno",), disciplines=("droptail",), n_flows=1,
-            max_workers=1)
-        assert len(result.rows) == 1
+            config=SMALL_PATH, duration=0.5, seed=3, max_workers=0)
+        assert len(result.rows) == 16
+        assert result.row_for("prague", "dualpi2")["ecn"] is True
+        assert result.telemetry is not None
 
     def test_e13_has_no_fluid_variant(self):
         # AQM cells are packet-engine territory; the fluid gate rejects

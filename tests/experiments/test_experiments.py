@@ -15,20 +15,23 @@ from repro.experiments import (
     render_sweep,
     render_throughput,
     render_tuning_ablation,
-    run_baseline_comparison,
-    run_fairness,
-    run_tuning_ablation,
 )
+from repro.experiments.baselines import baselines_from_comparison, baselines_spec
+from repro.experiments.fairness import fairness_from_campaign, fairness_spec
 from repro.experiments.figure1 import figure1_from_comparison, figure1_spec
 from repro.experiments.sweeps import ifq_sweep_spec, setpoint_sweep_spec
 from repro.experiments.throughput import throughput_from_comparison, throughput_spec
+from repro.experiments.tuning_ablation import (
+    tuning_ablation_from_campaign,
+    tuning_ablation_spec,
+)
 from repro.errors import ExperimentError
 from repro.spec import execute
 
 from repro.testing import SMALL_PATH
 
 #: E7 rows (rule, goodput_bps, utilization, ifq_tail_mean) for
-#: ``run_tuning_ablation(duration=2.0, config=SMALL_PATH, seed=2)``.
+#: ``tuning_ablation_spec(duration=2.0, config=SMALL_PATH, seed=2)``.
 E7_PINNED_ROWS = [
     ("allcock_modified", 15899040.0, 0.794952, 18.65),
     ("zn_classic_pid", 16345024.0, 0.8172512, 18.65),
@@ -39,8 +42,8 @@ E7_PINNED_ROWS = [
 ]
 
 #: E8 rows (algorithm, goodput_bps, utilization, send_stalls,
-#: max_cwnd_segments) for ``run_baseline_comparison(duration=2.0,
-#: config=SMALL_PATH, seed=2)``.
+#: max_cwnd_segments) for ``baselines_spec(duration=2.0, config=SMALL_PATH,
+#: seed=2)``.
 E8_PINNED_ROWS = [
     ("reno", 10344512.0, 0.5172256, 1, 63.40400552486188),
     ("newreno", 10344512.0, 0.5172256, 1, 63.40400552486188),
@@ -120,9 +123,11 @@ class TestSweeps:
 
 class TestTuningAblation:
     def test_rules_compared(self):
-        result = run_tuning_ablation(rules=("allcock_modified", "zn_classic_pid"),
-                                     include_relay_tuned=True, duration=2.5,
-                                     config=SMALL_PATH, seed=2, max_workers=1)
+        rules = ("allcock_modified", "zn_classic_pid")
+        spec = tuning_ablation_spec(rules=rules, include_relay_tuned=True,
+                                    duration=2.5, config=SMALL_PATH, seed=2)
+        result = tuning_ablation_from_campaign(execute(spec, max_workers=1),
+                                               rules=rules)
         assert len(result.rows) == 3
         labels = {row["rule"] for row in result.rows}
         assert "allcock_modified" in labels
@@ -133,8 +138,9 @@ class TestTuningAblation:
     def test_rows_pinned(self):
         # exact row values of the default rule set on the small path; any
         # change to how E7 builds or runs its specs shows up here
-        result = run_tuning_ablation(duration=2.0, config=SMALL_PATH, seed=2,
-                                     max_workers=0)
+        result = tuning_ablation_from_campaign(execute(
+            tuning_ablation_spec(duration=2.0, config=SMALL_PATH, seed=2),
+            max_workers=0))
         assert result.rows == [
             dict(rule=rule, goodput_bps=goodput, send_stalls=0,
                  utilization=utilization, ifq_peak=20, ifq_tail_mean=tail,
@@ -143,14 +149,33 @@ class TestTuningAblation:
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ExperimentError):
-            run_tuning_ablation(rules=("nope",), config=SMALL_PATH, duration=1.0)
+            tuning_ablation_spec(rules=("nope",), config=SMALL_PATH, duration=1.0)
+
+    def test_pinned_relay_gains_equal_the_tuner(self):
+        # the registry's E7 spec uses the pinned constant so that importing
+        # the registry runs no tuner; it must be exactly what the tuner gives
+        from repro.control.ziegler_nichols import PAPER_RULE
+        from repro.core.tuning import autotune_gains_fluid
+        from repro.experiments.tuning_ablation import DEFAULT_RELAY_GAINS
+        from repro.workloads import PathConfig
+
+        assert DEFAULT_RELAY_GAINS == autotune_gains_fluid(
+            PathConfig(), rule=PAPER_RULE).gains
+        assert tuning_ablation_spec() == tuning_ablation_spec(config=PathConfig())
+
+    def test_fold_rejects_a_mismatched_grid(self):
+        result = execute(tuning_ablation_spec(
+            rules=("allcock_modified",), include_relay_tuned=False,
+            duration=1.0, config=SMALL_PATH, seed=2), max_workers=0)
+        with pytest.raises(ValueError, match="zip"):
+            tuning_ablation_from_campaign(result)
 
 
 class TestBaselines:
     def test_all_algorithms_run(self):
-        result = run_baseline_comparison(
+        result = baselines_from_comparison(execute(baselines_spec(
             algorithms=("reno", "limited_slow_start", "restricted"),
-            duration=2.5, config=SMALL_PATH, seed=2, max_workers=1)
+            duration=2.5, config=SMALL_PATH, seed=2), max_workers=1))
         assert len(result.rows) == 3
         assert result.row_for("restricted")["send_stalls"] == 0
         ranking = result.ranking()
@@ -159,8 +184,9 @@ class TestBaselines:
 
     def test_rows_pinned(self):
         # exact row values of the default algorithm set on the small path
-        result = run_baseline_comparison(duration=2.0, config=SMALL_PATH, seed=2,
-                                         max_workers=0)
+        result = baselines_from_comparison(execute(
+            baselines_spec(duration=2.0, config=SMALL_PATH, seed=2),
+            max_workers=0))
         assert result.rows == [
             dict(algorithm=algorithm, goodput_bps=goodput, utilization=utilization,
                  send_stalls=stalls, congestion_signals=0, retrans=0,
@@ -168,10 +194,18 @@ class TestBaselines:
             for algorithm, goodput, utilization, stalls, max_cwnd in E8_PINNED_ROWS]
 
     def test_row_for_unknown(self):
-        result = run_baseline_comparison(algorithms=("reno",), duration=1.0,
-                                         config=SMALL_PATH, max_workers=1)
+        result = baselines_from_comparison(execute(baselines_spec(
+            algorithms=("reno",), duration=1.0, config=SMALL_PATH),
+            max_workers=1))
         with pytest.raises(ExperimentError):
             result.row_for("cubic")
+
+    def test_registry_spec_is_the_default_comparison(self):
+        from repro.experiments.baselines import DEFAULT_BASELINES
+        from repro.spec import ComparisonSpec, RunSpec
+
+        assert get_experiment("E8").spec == ComparisonSpec(
+            base=RunSpec(duration=15.0), algorithms=DEFAULT_BASELINES)
 
 
 class TestFairness:
@@ -185,13 +219,20 @@ class TestFairness:
             flow_mix(0, "standard")
 
     def test_fairness_rows(self):
-        result = run_fairness(flow_counts=(2,), mixes=("standard", "half"),
-                              duration=2.5, config=SMALL_PATH, seed=2)
+        grid = dict(flow_counts=(2,), mixes=("standard", "half"))
+        result = fairness_from_campaign(execute(fairness_spec(
+            **grid, duration=2.5, config=SMALL_PATH, seed=2)), **grid)
         assert len(result.rows) == 2
         half = result.row_for(2, "half")
         assert 0.3 <= half["jain_index"] <= 1.0
         assert half["restricted_share"] is not None
         assert "Jain" in render_fairness(result)
+
+    def test_path_override_matches_the_builder(self):
+        # E9 applies path flags through with_config; the canonical dumbbell
+        # re-derives its topology exactly as from_bulk_flows would
+        assert (get_experiment("E9").spec.with_config(SMALL_PATH)
+                == fairness_spec(config=SMALL_PATH))
 
 
 class TestRegistry:
@@ -201,14 +242,13 @@ class TestRegistry:
         ids = {spec.experiment_id for spec in all_experiments()}
         packet_ids = {f"E{i}" for i in range(1, 14)}
         assert packet_ids <= ids
-        # every fluid-capable spec-carrying experiment also has a fluid
-        # fast-path variant; packet-only scenario entries (E11) have none,
-        # and legacy runner entries (E7..E9) derive none even when their
-        # runner accepts a backend keyword (E9)
+        # every fluid-capable experiment also has a fluid fast-path
+        # variant; packet-only entries (E8's cubic/hystart, E11's parking
+        # lot, E13's AQM cells) have none
         fluid_ids = {i for i in ids if i.endswith("F")}
         assert fluid_ids == {f"{spec.experiment_id}F" for spec in all_experiments()
-                             if spec.spec is not None and spec.base_id is None
-                             and _supports_fluid(spec.spec)}
+                             if spec.base_id is None and _supports_fluid(spec.spec)}
+        assert fluid_ids == {f"E{i}F" for i in (1, 2, 3, 4, 5, 6, 7, 9, 10, 12)}
         assert ids == packet_ids | fluid_ids
 
     def test_lookup_case_insensitive(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.campaign import CampaignSpec
 from repro.errors import ExperimentError
 from repro.experiments import (
     comparison_table,
@@ -112,6 +113,31 @@ class TestMaxWorkersEnv:
         monkeypatch.setenv("REPRO_MAX_WORKERS", "-2")
         with pytest.raises(ExperimentError, match="REPRO_MAX_WORKERS"):
             default_worker_count()
+
+    @pytest.mark.parametrize("spec", [
+        ComparisonSpec(base=RunSpec(config=SMALL_PATH, duration=0.5,
+                                    backend="fluid")),
+        CampaignSpec(units=(RunSpec(config=SMALL_PATH, duration=0.5,
+                                    backend="fluid"),) * 2),
+    ], ids=["comparison", "campaign"])
+    def test_composites_take_the_default_worker_count(self, monkeypatch, spec):
+        # max_workers=None means default_worker_count() for every composite,
+        # as for sweeps: a REPRO_MAX_WORKERS of 2 sends a comparison's and a
+        # campaign's runs through the pool
+        import repro.experiments.parallel as parallel
+
+        pools = []
+
+        class RecordingPool(parallel.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
+        result = execute(spec)
+        assert pools == [2]
+        assert len(result.runs) == 2 and result.telemetry is not None
 
     def test_unset_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)

@@ -2,36 +2,37 @@
 
 Replaces the old kwarg-shim assumptions (``config_kwarg``/``duration_kwarg``
 string indirection) with direct checks on the declarative specs: each
-spec-carrying experiment runs under both backends on a small grid, the
+fluid-capable experiment runs under both backends on a small grid, the
 fluid variants are literal ``with_backend("fluid")`` derivations, and the
-legacy runners (E7..E9) keep the uniform keyword surface the registry's
-``run()`` relies on.
+campaign-shaped entries (E7, E9, E13) take the same uniform overrides.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import all_experiments, get_experiment
+from repro.experiments import EXPERIMENTS, all_experiments, get_experiment
 from repro.experiments.registry import ExperimentSpec
 from repro.experiments.sweeps import SweepResult
-from repro.spec import SweepSpec, execute, spec_from_json
+from repro.spec import ComparisonSpec, SweepSpec, execute, spec_from_json
 from repro.testing import SMALL_PATH
+from repro.workloads import PathConfig
 
 SPEC_IDS = [entry.experiment_id for entry in all_experiments()
-            if entry.spec is not None and entry.base_id is None]
-#: Spec entries that can derive a fluid variant (excludes packet-only
-#: multi-flow scenario entries such as the parking lot).
+            if entry.base_id is None]
+#: Comparison and sweep entries that can derive a fluid variant (excludes
+#: packet-only algorithms and scenarios: E8's cubic/hystart, the parking lot).
 FLUID_CAPABLE_IDS = [experiment_id for experiment_id in SPEC_IDS
-                     if getattr(get_experiment(experiment_id).spec,
-                                "scenario", None) is None]
-SCENARIO_IDS = sorted(set(SPEC_IDS) - set(FLUID_CAPABLE_IDS))
-LEGACY_IDS = [entry.experiment_id for entry in all_experiments()
-              if entry.spec is None]
+                     if isinstance(get_experiment(experiment_id).spec,
+                                   (ComparisonSpec, SweepSpec))
+                     and f"{experiment_id}F" in EXPERIMENTS]
+SCENARIO_IDS = [experiment_id for experiment_id in SPEC_IDS
+                if getattr(get_experiment(experiment_id).spec, "scenario", None)]
+#: Entries whose spec is a campaign of cells.
+CAMPAIGN_IDS = ["E7", "E9", "E13"]
 
 
 def _shrunk(spec):
@@ -75,8 +76,8 @@ class TestSpecEntries:
         assert result.duration == 1.5
         assert result.comparison.runs["reno"].backend == "fluid"
 
-    def test_run_rejects_unknown_overrides(self):
-        with pytest.raises(ExperimentError, match="unknown override"):
+    def test_run_takes_only_the_uniform_overrides(self):
+        with pytest.raises(TypeError, match="warp"):
             get_experiment("E3").run(config=SMALL_PATH, warp=9)
 
     def test_pinned_variant_rejects_other_backend(self):
@@ -109,36 +110,74 @@ class TestScenarioEntries:
             get_experiment("E11").run(backend="fluid")
 
 
-class TestLegacyEntries:
-    def test_legacy_runners_keep_uniform_keywords(self):
-        for experiment_id in LEGACY_IDS:
-            entry = get_experiment(experiment_id)
-            parameters = inspect.signature(entry.runner).parameters
-            assert {"config", "duration", "seed"} <= set(parameters), experiment_id
+class TestCampaignEntries:
+    """E7, E9 and E13: campaigns of cells, folded into their tables."""
 
-    def test_legacy_entries_reject_backend_selection(self):
-        # ... unless their runner takes a backend keyword (E9's fairness
-        # runner dispatches its MultiFlowSpec points to either engine)
-        for experiment_id in LEGACY_IDS:
-            entry = get_experiment(experiment_id)
-            if entry.backend_aware:
-                continue
-            with pytest.raises(ExperimentError, match="packet engine only"):
-                entry.run(backend="fluid")
-        assert get_experiment("E9").backend_aware
+    @pytest.mark.parametrize("experiment_id", CAMPAIGN_IDS)
+    def test_spec_is_a_campaign_of_atomic_cells(self, experiment_id):
+        spec = get_experiment(experiment_id).spec
+        assert spec.kind == "campaign"
+        assert spec.units and not spec.experiments and not spec.sweeps
+        assert len(spec.expand()) == len(spec.units)
 
-    def test_fairness_runner_accepts_fluid_backend(self):
+    def test_every_entry_takes_a_backend(self):
+        # the backend goes through with_backend; a packet-only shape names
+        # what the fluid engine cannot run
+        for experiment_id in ("E7", "E8", "E9", "E13"):
+            entry = get_experiment(experiment_id)
+            assert entry.backend_aware
+            if f"{experiment_id}F" not in EXPERIMENTS:
+                with pytest.raises(ExperimentError, match="fluid"):
+                    entry.configured_spec(backend="fluid")
+
+    def test_fairness_entry_runs_on_the_fluid_backend(self):
         result = get_experiment("E9").run(
-            config=SMALL_PATH, duration=2.0, seed=2, backend="fluid",
-            flow_counts=(2,), mixes=("standard",))
-        assert len(result.rows) == 1
+            config=SMALL_PATH, duration=2.0, seed=2, backend="fluid")
+        assert len(result.rows) == 6
         assert result.runs[(2, "standard")].backend == "fluid"
+        assert result.telemetry is not None
 
-    def test_legacy_run_forwards_overrides(self):
-        result = get_experiment("E8").run(
-            config=SMALL_PATH, duration=1.5, seed=2,
-            algorithms=("reno", "restricted"), max_workers=None)
-        assert len(result.rows) == 2
+    def test_fluid_variants_of_campaigns(self):
+        for base_id in ("E7", "E9"):
+            variant = get_experiment(f"{base_id}F")
+            assert variant.spec == get_experiment(base_id).spec.with_backend("fluid")
+            assert variant.build_result is get_experiment(base_id).build_result
+        result = get_experiment("E7F").run(config=SMALL_PATH, duration=1.5, seed=2)
+        assert [row["rule"] for row in result.rows][-1] == "relay_tuned+allcock_modified"
+
+    def test_relay_row_keeps_the_registry_gains_under_a_path_override(self):
+        # every E7 row derives its gains from the default path; a path
+        # override does not re-tune the relay row
+        spec = get_experiment("E7").configured_spec(config=SMALL_PATH)
+        assert [unit.rss_config for unit in spec.units] == [
+            unit.rss_config for unit in get_experiment("E7").spec.units]
+        assert all(unit.config == SMALL_PATH for unit in spec.units)
+
+    def test_gallery_rebuilds_through_its_builder(self):
+        # E13's path and flow starts derive from the requested path and
+        # duration, so overrides rebuild the grid instead of editing cells
+        from repro.experiments.aqm_gallery import aqm_gallery_grid_spec
+
+        entry = get_experiment("E13")
+        assert entry.spec == aqm_gallery_grid_spec()
+        assert entry.configured_spec(config=SMALL_PATH, duration=3.0, seed=4) \
+            == aqm_gallery_grid_spec(config=SMALL_PATH, duration=3.0, seed=4)
+
+    def test_registry_specs_start_from_the_default_path(self):
+        # the CLI's path flags edit PathConfig's defaults, which is every
+        # overridable registry spec's own path
+        for entry in all_experiments():
+            if entry.builder is None:
+                assert entry.spec.path_config == PathConfig(), entry.experiment_id
+
+    def test_run_records_every_unit_in_a_store(self, tmp_path):
+        from repro.campaign import ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        entry = get_experiment("E9F")
+        entry.run(config=SMALL_PATH, duration=1.0, max_workers=0, store=store)
+        spec = entry.configured_spec(config=SMALL_PATH, duration=1.0)
+        assert all(store.contains(unit.cache_key) for unit in spec.expand())
 
 
 class TestShimRemoval:
@@ -150,6 +189,8 @@ class TestShimRemoval:
         assert not hasattr(entry, "config_kwarg")
         assert not hasattr(entry, "duration_kwarg")
 
-    def test_every_entry_has_spec_or_runner(self):
+    def test_every_entry_has_a_spec(self):
+        stored = {f.name for f in dataclasses.fields(ExperimentSpec)}
+        assert "runner" not in stored
         for entry in all_experiments():
-            assert (entry.spec is None) != (entry.runner is None)
+            assert entry.spec.cache_key()

@@ -90,9 +90,12 @@ class TestRegistryVariants:
         assert result.comparison.runs["reno"].backend == "fluid"
 
     def test_backend_aware_flags(self):
+        # every packet entry selects its backend through with_backend;
+        # derived fluid variants are pinned
         assert EXPERIMENTS["E2"].backend_aware
-        assert not EXPERIMENTS["E7"].backend_aware
+        assert EXPERIMENTS["E7"].backend_aware
         assert not EXPERIMENTS["E2F"].backend_aware
+        assert not EXPERIMENTS["E7F"].backend_aware
 
     def test_fluid_variants_derive_from_packet_specs(self):
         for base_id in ("E1", "E2", "E3", "E4", "E5", "E6", "E10"):

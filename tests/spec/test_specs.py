@@ -263,6 +263,32 @@ class TestRestrictedCcKwargs:
             execute(spec)
 
 
+class TestCompositeFluidAlgorithms:
+    """A fluid comparison or sweep names only algorithms with a fluid growth
+    rule; any other fails when the composite is built, not when it runs."""
+
+    def test_comparison_refuses_them_at_construction(self):
+        with pytest.raises(UnsupportedScenarioError, match="cubic"):
+            ComparisonSpec(base=RunSpec(backend="fluid"), algorithms=("reno", "cubic"))
+
+    def test_sweep_refuses_them_at_construction(self):
+        with pytest.raises(UnsupportedScenarioError, match="hystart"):
+            SweepSpec(values=(10, 20), base=RunSpec(backend="fluid"),
+                      algorithms=("restricted", "hystart"))
+
+    def test_with_backend_refuses_them(self):
+        packet = ComparisonSpec(algorithms=("reno", "cubic"))
+        with pytest.raises(UnsupportedScenarioError, match="cubic"):
+            packet.with_backend("fluid")
+
+    def test_packet_and_fluid_capable_composites_still_build(self):
+        algorithms = ("reno", "newreno", "limited_slow_start", "restricted")
+        spec = ComparisonSpec(base=RunSpec(backend="fluid"), algorithms=algorithms)
+        assert spec.cache_key() == ComparisonSpec(
+            algorithms=algorithms).with_backend("fluid").cache_key()
+        ComparisonSpec(algorithms=("reno", "cubic", "hystart"))
+
+
 class TestPickling:
     @pytest.mark.parametrize("spec", SPEC_EXAMPLES,
                              ids=lambda s: f"{s.kind}:{s.cache_key()[:8]}")

@@ -7,6 +7,14 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import get_experiment
+from repro.units import Mbps
+from repro.workloads import PathConfig
+
+#: Path flags of a scaled-down path, and the path they make of the default.
+SMALL_FLAGS = ["--bandwidth-mbps", "20", "--rtt-ms", "40", "--ifq", "20"]
+FLAGGED_PATH = PathConfig(bottleneck_rate_bps=Mbps(20), rtt=0.040,
+                          ifq_capacity_packets=20)
 
 
 class TestParser:
@@ -91,15 +99,34 @@ class TestSpecCommands:
         assert document["base"]["seed"] == 7
         assert document["base"]["duration"] == 2.0
 
-    def test_spec_dump_legacy_experiment_rejected(self, capsys):
-        assert main(["spec", "dump", "E7"]) == 2
-        assert "no declarative spec" in capsys.readouterr().err
+    def test_spec_dump_campaign_experiment(self, capsys):
+        # E13 is a campaign of its 16 gallery cells
+        from repro.spec import spec_from_json
 
-    def test_spec_list_covers_spec_entries(self, capsys):
+        assert main(["spec", "dump", "E13"]) == 0
+        out = capsys.readouterr().out
+        document = json.loads(out)
+        assert document["kind"] == "campaign"
+        assert len(document["units"]) == 16
+        assert spec_from_json(out) == get_experiment("E13").spec
+
+    def test_spec_dump_rebuilds_the_gallery_for_overrides(self, capsys):
+        # the path flags edit the default path, which the gallery then
+        # adapts to its AQM bottleneck, exactly as its builder does
+        from repro.experiments.aqm_gallery import aqm_gallery_grid_spec
+        from repro.spec import spec_from_json
+
+        assert main([*SMALL_FLAGS, "spec", "dump", "E13", "--duration", "2"]) == 0
+        assert spec_from_json(capsys.readouterr().out) == aqm_gallery_grid_spec(
+            config=FLAGGED_PATH, duration=2.0)
+
+    def test_spec_list_covers_every_entry(self, capsys):
         assert main(["spec", "list"]) == 0
         out = capsys.readouterr().out
         assert "E3" in out and "E2F" in out and "cache_key=" in out
-        assert "E7" not in out
+        for experiment_id in ("E7 ", "E8 ", "E9 ", "E13", "E7F", "E9F"):
+            assert experiment_id in out
+        assert "campaign" in out
 
     def test_run_spec_file_round_trip(self, capsys, tmp_path):
         path = tmp_path / "e2f.json"
@@ -253,9 +280,11 @@ class TestFluidBackend:
         assert code == 0
         assert "improvement" in capsys.readouterr().out
 
-    def test_backend_unaware_experiment_rejected(self, capsys):
-        assert main(["--backend", "fluid", "run", "E7"]) == 2
-        assert "does not support" in capsys.readouterr().err
+    def test_packet_only_experiment_names_the_fluid_gap(self, capsys):
+        # E8 compares hystart and cubic, which have no fluid growth rule
+        assert main(["--backend", "fluid", "run", "E8"]) == 2
+        err = capsys.readouterr().err
+        assert "fluid" in err and "hystart" in err
 
     def test_packet_backend_on_fluid_variant_rejected(self, capsys):
         # "E2F" is pinned to the fluid engine; an explicit packet request
@@ -366,10 +395,16 @@ class TestCampaignCommands:
                      "--store", str(tmp_path / "s")]) == 2
         assert "content-addressed" in capsys.readouterr().err
 
-    def test_campaign_rejects_legacy_experiments(self, capsys, tmp_path):
-        assert main(["campaign", "run", "E7",
-                     "--store", str(tmp_path / "s")]) == 2
-        assert "E7" in capsys.readouterr().err
+    def test_campaign_runs_campaign_experiments(self, capsys, tmp_path):
+        # E7F and E9F are campaigns themselves; they flatten into the run
+        store = str(tmp_path / "s")
+        argv = ["campaign", "run", "E7F", "E9F", "--store", store,
+                "--jobs", "0"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "12 units" in out and "E7F/unit0" in out and "E9F/unit5" in out
+        assert main(argv) == 0
+        assert "hits 12, computed 0" in capsys.readouterr().out
 
     def test_run_spec_rejects_campaign_documents(self, capsys, tmp_path):
         from repro.campaign import CampaignSpec
@@ -498,9 +533,53 @@ class TestRunObservability:
                      "run", "E2", "--duration", "1", "--profile-memory"]) == 0
         assert "memory peak" in capsys.readouterr().out
 
-    def test_profile_rejected_for_legacy_runner_experiments(self, capsys):
-        assert main(["run", "E7", "--profile"]) == 2
-        assert "no telemetry" in capsys.readouterr().err
+    def test_profile_covers_campaign_experiments(self, capsys):
+        assert main([*SMALL_FLAGS, "run", "E7", "--duration", "0.5",
+                     "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "tuning-rule ablation" in out
+        assert "phase" in out and "simulate" in out and "events/s" in out
+
+    def test_trace_on_campaign_experiment(self, capsys, tmp_path):
+        from repro.obs import read_jsonl
+
+        path = tmp_path / "trace.jsonl"
+        assert main([*SMALL_FLAGS, "run", "E9", "--duration", "0.5",
+                     "--trace", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "multi-flow fairness" in out and "trace:" in out
+        assert read_jsonl(path)
+
+    def test_profile_memory_on_campaign_experiment(self, capsys):
+        assert main([*SMALL_FLAGS, "run", "E9", "--duration", "0.5",
+                     "--profile-memory"]) == 0
+        out = capsys.readouterr().out
+        assert "multi-flow fairness" in out and "memory peak" in out
+
+    def test_store_records_comparison_experiment(self, capsys, tmp_path):
+        from repro.campaign import ResultStore
+
+        store = tmp_path / "store"
+        assert main([*SMALL_FLAGS, "run", "E8", "--duration", "0.5",
+                     "--store", str(store)]) == 0
+        assert "ranking" in capsys.readouterr().out
+        spec = get_experiment("E8").configured_spec(config=FLAGGED_PATH,
+                                                    duration=0.5)
+        keys = [spec.cache_key()] + [run.cache_key()
+                                     for run in spec.run_specs().values()]
+        assert all(ResultStore(store).contains(key) for key in keys)
+
+    def test_run_spec_of_a_registry_campaign_runs_the_experiment(
+            self, capsys, tmp_path):
+        path = tmp_path / "e9f.json"
+        assert main(["spec", "dump", "E9F", "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main([*SMALL_FLAGS, "run", "E9F", "--duration", "1"]) == 0
+        registry = capsys.readouterr().out
+        assert main([*SMALL_FLAGS, "run", "--spec", str(path),
+                     "--duration", "1"]) == 0
+        assert capsys.readouterr().out == registry
+        assert "multi-flow fairness" in registry
 
     def test_trace_writes_parseable_jsonl(self, capsys, tmp_path):
         from repro.obs import read_jsonl
