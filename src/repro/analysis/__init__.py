@@ -9,7 +9,7 @@ from .metrics import (
     utilization,
 )
 from .tables import Table, kv_table
-from .timeseries import cumulative_count_series, downsample, resample_step, series_mean
+from .timeseries import cumulative_count_series, downsample, resample_step
 
 __all__ = [
     "goodput_bps",
@@ -22,6 +22,5 @@ __all__ = [
     "kv_table",
     "resample_step",
     "cumulative_count_series",
-    "series_mean",
     "downsample",
 ]

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ExperimentError
 
-__all__ = ["resample_step", "cumulative_count_series", "series_mean", "downsample"]
+__all__ = ["resample_step", "cumulative_count_series", "downsample"]
 
 
 def resample_step(
@@ -39,30 +39,6 @@ def cumulative_count_series(event_times: Sequence[float], grid: Sequence[float])
     ev = np.sort(np.asarray(event_times, dtype=float))
     g = np.asarray(grid, dtype=float)
     return np.searchsorted(ev, g, side="right").astype(float)
-
-
-def series_mean(times: Sequence[float], values: Sequence[float],
-                t_start: float = 0.0, t_end: float | None = None) -> float:
-    """Time-weighted mean of a step series over ``[t_start, t_end]``.
-
-    Computed as the exact piecewise-constant integral divided by the window
-    length: every step transition inside the window contributes its true
-    dwell time, so dense series do not alias the way grid sampling would.
-    """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.size != v.size:
-        raise ExperimentError("times and values must have equal length")
-    if t.size == 0:
-        return 0.0
-    if t_end is None:
-        t_end = float(t[-1])
-    if t_end <= t_start:
-        raise ExperimentError("t_end must exceed t_start")
-    inner = t[(t > t_start) & (t < t_end)]
-    edges = np.concatenate(([t_start], inner, [t_end]))
-    level = resample_step(t, v, edges[:-1], left=float(v[0]))
-    return float(np.sum(level * np.diff(edges)) / (t_end - t_start))
 
 
 def downsample(times: Sequence[float], values: Sequence[float], max_points: int) -> tuple[np.ndarray, np.ndarray]:

@@ -36,6 +36,7 @@ import pathlib
 import sys
 from typing import Callable, Sequence
 
+from .codec import encode
 from .core import autotune_gains_fluid
 from .errors import ReproError
 from .experiments import (
@@ -330,13 +331,15 @@ def _cmd_list() -> int:
     return 0
 
 
-def _print_result(result, output: str | None) -> None:
+def _print_result(result, raw, output: str | None) -> None:
+    """Render ``result`` (an experiment's folded view, or the raw result);
+    ``-o`` saves ``raw``, the result its spec's cache key addresses."""
     text = _render_result(result)
     if text is not None:
         print(text)
     if output:
         try:
-            path = save_result(result, output)
+            path = save_result(raw, output)
             print(f"\nsaved raw result to {path}")
         except ReproError as exc:
             print(f"\n(could not save result: {exc})")
@@ -361,9 +364,9 @@ def _print_summary(result, mode: str) -> int:
         return 2
     if mode == "json":
         if len(summaries) == 1 and summaries[0][0] is None:
-            print(json.dumps(summaries[0][1].to_dict(), indent=2))
+            print(json.dumps(encode(summaries[0][1]), indent=2))
         else:
-            print(json.dumps([{"label": label, "summary": s.to_dict()}
+            print(json.dumps([{"label": label, "summary": encode(s)}
                               for label, s in summaries], indent=2))
         return 0
     for label, s in summaries:
@@ -479,12 +482,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             spec = MultiFlowSpec(scenario=spec)
         spec = _apply_overrides(spec, args)
         with _run_observability(args) as bus:
-            result = execute(spec, max_workers=serial, store=store)
+            result = raw = execute(spec, max_workers=serial, store=store)
     else:
+        spec = entry.configured_spec(**_registry_overrides(args))
         with _run_observability(args) as bus:
-            result = entry.run(**_registry_overrides(args),
-                               max_workers=serial, store=store)
-    _print_result(result, args.output)
+            raw = execute(spec, max_workers=serial, store=store)
+        result = entry.fold(raw)
+    _print_result(result, raw, args.output)
     code = _print_observability(args, result, bus)
     if code:
         return code

@@ -1,6 +1,5 @@
 """Control-theory substrate: PID control, tuning procedures, process models."""
 
-from .filters import EWMA, FirstOrderLowPass, MovingAverage, RateLimiter
 from .pid import PIDController, PIDGains
 from .process_models import (
     FirstOrderProcess,
@@ -9,7 +8,7 @@ from .process_models import (
     QueueProcessModel,
 )
 from .relay_tuning import RelayController, RelayExperimentResult, relay_tune
-from .simulate import ClosedLoopResult, simulate_closed_loop, simulate_p_only
+from .simulate import ClosedLoopResult, simulate_closed_loop
 from .ziegler_nichols import (
     PAPER_RULE,
     TUNING_RULES,
@@ -24,17 +23,12 @@ from .ziegler_nichols import (
 __all__ = [
     "PIDController",
     "PIDGains",
-    "EWMA",
-    "FirstOrderLowPass",
-    "MovingAverage",
-    "RateLimiter",
     "ProcessModel",
     "FirstOrderProcess",
     "IntegratingProcess",
     "QueueProcessModel",
     "ClosedLoopResult",
     "simulate_closed_loop",
-    "simulate_p_only",
     "ZNParameters",
     "TUNING_RULES",
     "PAPER_RULE",

@@ -15,10 +15,10 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ControlError
-from .pid import PIDController, PIDGains
+from .pid import PIDController
 from .process_models import ProcessModel
 
-__all__ = ["ClosedLoopResult", "simulate_closed_loop", "simulate_p_only"]
+__all__ = ["ClosedLoopResult", "simulate_closed_loop"]
 
 
 @dataclass
@@ -80,20 +80,3 @@ def simulate_closed_loop(
     return ClosedLoopResult(times=times, pv=pv, outputs=outputs,
                             setpoint=controller.setpoint)
 
-
-def simulate_p_only(
-    process: ProcessModel,
-    kp: float,
-    setpoint: float,
-    duration: float,
-    dt: float,
-    output_min: float | None = None,
-    output_max: float | None = None,
-) -> ClosedLoopResult:
-    """Proportional-only closed loop (the Ziegler–Nichols probing experiment)."""
-    controller = PIDController(
-        PIDGains(kp=kp), setpoint=setpoint,
-        output_min=output_min, output_max=output_max,
-    )
-    process.reset()
-    return simulate_closed_loop(process, controller, duration, dt)

@@ -19,6 +19,7 @@ __all__ = [
     "TuningError",
     "ExperimentError",
     "UnsupportedScenarioError",
+    "DocumentError",
 ]
 
 
@@ -68,4 +69,13 @@ class UnsupportedScenarioError(ExperimentError):
     The message names the unsupported feature(s) — e.g. a multi-bottleneck
     graph or per-link loss under the single-flow fluid model — so callers
     know which backend to fall back to.
+    """
+
+
+class DocumentError(ExperimentError):
+    """Raised when a document does not decode into its type (:mod:`repro.codec`).
+
+    The message names the type and the field: an unknown or missing field,
+    a ``null`` where the field has no default meaning, or a value of the
+    wrong shape.
     """

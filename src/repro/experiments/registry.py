@@ -110,7 +110,10 @@ class ExperimentSpec:
         # the *raw* spec results are what the cache keys address (the
         # folded build_result view is derived presentation); execute's
         # write-through stores the composite and its atomic components
-        result = execute(spec, max_workers=max_workers, store=store)
+        return self.fold(execute(spec, max_workers=max_workers, store=store))
+
+    def fold(self, result):
+        """The experiment's view of its spec's raw ``result``."""
         if self.build_result is None:
             return result
         folded = self.build_result(result)

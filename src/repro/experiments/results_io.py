@@ -2,9 +2,13 @@
 
 Long sweeps are expensive to rerun, so the harness can serialise results to
 JSON and reload them for later analysis or regression comparison.  Only
-plain data is stored (floats, ints, lists, dictionaries); NumPy arrays are
-converted to lists on save and back to arrays on load where the consumer
-expects them.
+plain data is stored (floats, ints, lists, dictionaries).  The payload and
+the spec are both written by the one codec, :func:`repro.codec.encode`:
+NumPy arrays and scalars become lists and Python numbers, a Python float
+``±inf`` (the Web100 ``CurSsthresh`` before the first loss, say) the string
+``"Infinity"``/``"-Infinity"``, and a result's ``spec`` field, marked as
+provenance, stays out of the payload because the document carries it once
+at the top level.
 
 The format is intentionally simple and stable:
 
@@ -17,6 +21,10 @@ The format is intentionally simple and stable:
       "cache_key": "sha256...",
       "payload": { ... }
     }
+
+``kind`` names the result type: ``single_flow``, ``multi_flow``,
+``comparison``, ``sweep``, ``flow`` or ``campaign`` (a campaign's payload
+holds its unit payloads in ``expand()`` order).
 
 Version 2 added the metrics plane (``records``/``summary`` on multi-flow
 payloads).  Version 3 changed no field: it marks the results of multi-flow
@@ -39,22 +47,23 @@ content hash, the lookup key for spec-keyed result caching.
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import json
-import math
 import pathlib
 from typing import Any
 
-import numpy as np
-
+from ..codec import encode
 from ..errors import ExperimentError
-from ..spec import SpecBase, spec_from_dict
-from .runner import ComparisonResult, FlowResult, MultiFlowResult, SingleFlowResult
+from ..spec import spec_from_dict
+from .runner import (
+    CampaignResult,
+    ComparisonResult,
+    FlowResult,
+    MultiFlowResult,
+    SingleFlowResult,
+)
 from .sweeps import SweepResult
 
 __all__ = [
-    "to_jsonable",
     "result_document",
     "save_result",
     "load_result",
@@ -82,31 +91,8 @@ _KINDS = {
     "comparison": ComparisonResult,
     "sweep": SweepResult,
     "flow": FlowResult,
+    "campaign": CampaignResult,
 }
-
-
-def to_jsonable(value: Any) -> Any:
-    """Recursively convert a result object into JSON-serialisable data."""
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, float) and math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        # Specs attached to results are provenance, serialised exactly once
-        # at the document's top level ("spec"/"cache_key") — skip them here
-        # so the payload does not carry divergent duplicate copies.
-        return {f.name: to_jsonable(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-                if not isinstance(getattr(value, f.name), SpecBase)}
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    return value
 
 
 def _kind_of(result: Any) -> str:
@@ -130,7 +116,7 @@ def result_document(result: Any) -> dict:
     document = {
         "kind": _kind_of(result),
         "schema_version": SCHEMA_VERSION,
-        "payload": to_jsonable(result),
+        "payload": encode(result),
     }
     spec = getattr(result, "spec", None)
     if spec is not None:

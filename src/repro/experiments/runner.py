@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..analysis.metrics import improvement_percent, jain_fairness_index, utilization
+from ..codec import PROVENANCE
 from ..host.apps import BulkSenderApp
 from ..host.ifq import IFQMonitor
 from ..instrumentation.tracer import TimeSeriesTracer
@@ -133,7 +134,7 @@ class SingleFlowResult:
     backend: str = "packet"
     #: The declarative spec that produced this result (provenance; the
     #: basis for spec-keyed result caching).
-    spec: RunSpec | None = None
+    spec: RunSpec | None = field(default=None, metadata=PROVENANCE)
     #: CE marks applied by the bottleneck queue (0 unless it runs an
     #: ECN-marking AQM).
     bottleneck_marks: int = 0
@@ -158,7 +159,7 @@ class ComparisonResult:
     baseline: str
     runs: dict[str, SingleFlowResult]
     #: The declarative spec that produced this result (provenance).
-    spec: ComparisonSpec | None = None
+    spec: ComparisonSpec | None = field(default=None, metadata=PROVENANCE)
 
     def improvement_percent(self, algorithm: str) -> float:
         """Goodput improvement of ``algorithm`` over the baseline, percent."""
@@ -175,7 +176,7 @@ class CampaignResult:
 
     runs: list
     #: The campaign spec that produced this result (provenance).
-    spec: SpecBase | None = None
+    spec: SpecBase | None = field(default=None, metadata=PROVENANCE)
 
 
 @dataclass
@@ -194,7 +195,7 @@ class MultiFlowResult:
     #: Which engine produced this result ("packet" or "fluid").
     backend: str = "packet"
     #: The declarative spec that produced this result (provenance).
-    spec: MultiFlowSpec | None = None
+    spec: MultiFlowSpec | None = field(default=None, metadata=PROVENANCE)
     #: CE marks applied by the bottleneck queue (0 unless it runs an
     #: ECN-marking AQM).
     bottleneck_marks: int = 0

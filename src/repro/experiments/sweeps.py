@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..analysis.tables import Table
+from ..codec import PROVENANCE
 from ..core.config import RestrictedSlowStartConfig
 from ..errors import ExperimentError
 from ..obs.telemetry import aggregate
@@ -61,7 +62,7 @@ class SweepResult:
     parameter: str
     rows: list[dict] = field(default_factory=list)
     #: The declarative spec that produced this result (provenance).
-    spec: SweepSpec | None = None
+    spec: SweepSpec | None = field(default=None, metadata=PROVENANCE)
 
     def column(self, key: str) -> list:
         """Values of ``key`` across rows (missing keys become ``None``)."""

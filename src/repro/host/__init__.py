@@ -3,13 +3,12 @@
 from .apps import BulkSenderApp, CBRSource, OnOffSource, PoissonSource, SinkApp
 from .host import Host
 from .ifq import IFQMonitor
-from .sockets import SimSocket, listen, open_connection
+from .sockets import SimSocket, listen
 
 __all__ = [
     "Host",
     "IFQMonitor",
     "SimSocket",
-    "open_connection",
     "listen",
     "BulkSenderApp",
     "SinkApp",

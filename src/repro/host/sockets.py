@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..net.address import Address
 from ..tcp.cc.base import CCContext, CongestionControl
 from ..tcp.connection import TCPConnection
 from ..tcp.options import TCPOptions
 from .host import Host
 
-__all__ = ["SimSocket", "open_connection", "listen"]
+__all__ = ["SimSocket", "listen"]
 
 CCFactory = Callable[[CCContext], CongestionControl]
 
@@ -86,21 +85,6 @@ class SimSocket:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimSocket {self.connection.name}>"
-
-
-def open_connection(
-    host: Host,
-    remote_addr: Address,
-    remote_port: int,
-    options: TCPOptions | None = None,
-    cc_factory: CCFactory | None = None,
-    name: str = "",
-) -> SimSocket:
-    """Create a client socket on ``host`` towards ``remote_addr:remote_port``."""
-    conn = host.stack.connect(
-        remote_addr, remote_port, options=options, cc_factory=cc_factory, name=name
-    )
-    return SimSocket(conn)
 
 
 def listen(

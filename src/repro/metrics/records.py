@@ -10,9 +10,8 @@ Engines build records either from their native outcome objects via
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 __all__ = ["FlowRecord", "class_label_for"]
 
@@ -120,15 +119,3 @@ class FlowRecord:
             loss_events=int(flow.congestion_signals),
             retransmits=int(flow.pkts_retrans),
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON mapping (round-trips through :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FlowRecord":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown FlowRecord fields: {sorted(unknown)}")
-        return cls(**dict(data))

@@ -36,10 +36,9 @@ Bounded-memory design notes:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -78,17 +77,6 @@ class PercentileStats:
     p90: float | None = None
     p99: float | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PercentileStats":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown PercentileStats fields: {sorted(unknown)}")
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
 class ClassAggregate:
@@ -100,17 +88,6 @@ class ClassAggregate:
     aggregate_goodput_bps: float = 0.0
     mean_goodput_bps: float = 0.0
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClassAggregate":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown ClassAggregate fields: {sorted(unknown)}")
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
 class PopulationSummary:
@@ -118,7 +95,10 @@ class PopulationSummary:
 
     All goodput figures are bits/second; ``horizon`` is the nominal run
     duration the concurrency grid spans.  ``jain_index`` is ``None`` for an
-    empty population (fairness of nothing is undefined).
+    empty population (fairness of nothing is undefined).  ``by_class`` and
+    ``by_cc`` hold their groups in key order, so the document
+    :func:`repro.codec.encode` writes is the same with or without
+    ``sort_keys``.
     """
 
     horizon: float
@@ -139,49 +119,6 @@ class PopulationSummary:
     mean_concurrency: float = 0.0
     peak_concurrency: int = 0
     approx_quantiles: bool = False
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "horizon": self.horizon,
-            "n_flows": self.n_flows,
-            "n_completed": self.n_completed,
-            "aggregate_goodput_bps": self.aggregate_goodput_bps,
-            "mean_goodput_bps": self.mean_goodput_bps,
-            "jain_index": self.jain_index,
-            "total_bytes_acked": self.total_bytes_acked,
-            "total_send_stalls": self.total_send_stalls,
-            "total_loss_events": self.total_loss_events,
-            "total_retransmits": self.total_retransmits,
-            "fct": self.fct.to_dict(),
-            "by_class": {k: v.to_dict() for k, v in sorted(self.by_class.items())},
-            "by_cc": {k: v.to_dict() for k, v in sorted(self.by_cc.items())},
-            "grid_times": list(self.grid_times),
-            "concurrent_flows": list(self.concurrent_flows),
-            "mean_concurrency": self.mean_concurrency,
-            "peak_concurrency": self.peak_concurrency,
-            "approx_quantiles": self.approx_quantiles,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PopulationSummary":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown PopulationSummary fields: {sorted(unknown)}")
-        payload = dict(data)
-        payload["fct"] = PercentileStats.from_dict(payload.get("fct", {}))
-        payload["by_class"] = {
-            k: ClassAggregate.from_dict(v)
-            for k, v in payload.get("by_class", {}).items()
-        }
-        payload["by_cc"] = {
-            k: ClassAggregate.from_dict(v) for k, v in payload.get("by_cc", {}).items()
-        }
-        payload["grid_times"] = tuple(float(t) for t in payload.get("grid_times", ()))
-        payload["concurrent_flows"] = tuple(
-            int(c) for c in payload.get("concurrent_flows", ())
-        )
-        return cls(**payload)
 
 
 class _GroupState:
@@ -412,8 +349,8 @@ class SummaryAccumulator:
             total_loss_events=self._loss_events,
             total_retransmits=self._retransmits,
             fct=self._fct_stats(),
-            by_class={k: v.finalize() for k, v in self._by_class.items()},
-            by_cc={k: v.finalize() for k, v in self._by_cc.items()},
+            by_class={k: v.finalize() for k, v in sorted(self._by_class.items())},
+            by_cc={k: v.finalize() for k, v in sorted(self._by_cc.items())},
             grid_times=tuple(float(t) for t in self._grid),
             concurrent_flows=tuple(int(c) for c in concurrent),
             mean_concurrency=self._active_time / self.horizon,

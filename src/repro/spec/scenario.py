@@ -31,6 +31,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
+from ..codec import OMIT_DEFAULT
 from ..errors import ExperimentError
 from ..workloads.scenarios import DATA_PORT_BASE, PathConfig
 from .specs import SpecBase, _fluid_algorithms
@@ -301,7 +302,7 @@ class FlowSpec:
     total_bytes: int | None = None
     port: int | None = None
     cc_kwargs: dict = field(default_factory=dict)
-    ecn: bool = False
+    ecn: bool = field(default=False, metadata=OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
         if self.src == self.dst:
@@ -458,15 +459,6 @@ class ScenarioSpec(SpecBase):
     def with_seed(self, seed: int) -> "ScenarioSpec":
         self._no_override("seed")
 
-    # -- serialization ---------------------------------------------------
-    def to_dict(self) -> dict:
-        # flow "ecn": false is omitted so pre-ECN documents — and their
-        # cache keys, which address every stored result — are unchanged
-        data = super().to_dict()
-        for flow in data.get("flows") or ():
-            if flow.get("ecn") is False:
-                del flow["ecn"]
-        return data
 
 
 # ---------------------------------------------------------------------------

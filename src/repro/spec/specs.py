@@ -24,23 +24,19 @@ here import the engines, so building and serializing specs stays cheap.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import functools
 import hashlib
 import importlib
 import json
-import operator
 import pathlib
-import sys
-import types
-import typing
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Any, ClassVar, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fluid.vector import FlowArrivalSpec
     from .scenario import ScenarioSpec
 
+from ..codec import OMIT_DEFAULT, Tagged, decode, encode, lazy_annotations
 from ..core.config import RestrictedSlowStartConfig, default_gains
 from ..errors import ExperimentError, UnsupportedScenarioError
 from ..tcp.state import LocalCongestionPolicy
@@ -74,215 +70,14 @@ BACKENDS = ("packet", "fluid")
 _LAZY_KINDS = {"campaign": "repro.campaign.spec"}
 
 
-# ---------------------------------------------------------------------------
-# encoding / decoding
-# ---------------------------------------------------------------------------
-
-def _encode(value: Any) -> Any:
-    """Recursively convert a spec (or one of its fields) into plain data."""
-    encoder = _ENCODERS.get(type(value))
-    if encoder is None:
-        encoder = _ENCODERS[type(value)] = _encoder_for(type(value))
-    return encoder(value)
-
-
-#: Each type's encoder, built on first use (a plain dict: a lookup here is
-#: cheaper than a call through ``functools.cache``, on every encoded value).
-_ENCODERS: dict[type, Callable[[Any], Any]] = {}
-
-
-def _encoder_for(cls: type) -> Callable[[Any], Any]:
-    """How :func:`_encode` converts values of type ``cls``.  Precedence:
-    enum, spec (honouring ``to_dict`` overrides), dataclass, dict,
-    list/tuple, and anything else as it is."""
-    if issubclass(cls, enum.Enum):
-        return operator.attrgetter("value")
-    if issubclass(cls, SpecBase):
-        return cls.to_dict
-    if dataclasses.is_dataclass(cls):
-        return _encode_fields
-    if issubclass(cls, dict):
-        return lambda value: {str(k): _encode(v) for k, v in value.items()}
-    if issubclass(cls, (list, tuple)):
-        return lambda value: [_encode(v) for v in value]
-    return _as_is
-
-
-def _as_is(value: Any) -> Any:
-    return value
-
-
-@functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def _encode_fields(value: Any) -> dict:
-    """A dataclass instance's fields, encoded, by field name."""
-    return {name: _encode(getattr(value, name))
-            for name in _field_names(type(value))}
-
-
 #: Classes the spec modules import only for type checking, by the module
-#: defining them.  Field annotations may name them: the decoder imports the
+#: defining them.  Field annotations may name them: the codec imports the
 #: module when it first decodes such a value, so decoding a document
 #: without ``churn`` never loads the fluid engine.
-_TYPING_ONLY = {"ScenarioSpec": "repro.spec.scenario",
-                "FlowArrivalSpec": "repro.fluid.vector"}
+lazy_annotations(ScenarioSpec="repro.spec.scenario",
+                 FlowArrivalSpec="repro.fluid.vector")
 
-#: Annotations whose JSON values decode as they are.
-_SCALARS = (str, int, float, bool)
-
-_Decoder = Callable[[Any], Any]
-_T = TypeVar("_T")
 _S = TypeVar("_S", bound="SpecBase")
-
-
-class _Deferred:
-    """Stands in for a :data:`_TYPING_ONLY` class while hints resolve."""
-
-    module: ClassVar[str] = ""
-
-
-class _Plan(NamedTuple):
-    """How to decode one dataclass: field name -> (decoder or None to take
-    the value as is, whether null takes the default), accepted keys and
-    required fields."""
-
-    fields: dict[str, tuple[_Decoder | None, bool]]
-    accepted: frozenset[str]
-    required: frozenset[str]
-
-
-@functools.cache
-def _plan(cls: type) -> _Plan:
-    """Resolve ``cls``'s field annotations into decoders, once per class."""
-    module = vars(sys.modules[cls.__module__])
-    deferred = {name: type(name, (_Deferred,), {"module": home})
-                for name, home in _TYPING_ONLY.items() if name not in module}
-    try:
-        hints = typing.get_type_hints(cls, localns=deferred)
-    except NameError as exc:
-        raise ExperimentError(
-            f"cannot resolve the field annotations of {cls.__name__}: {exc}") from None
-    fields: dict[str, tuple[_Decoder | None, bool]] = {}
-    required: set[str] = set()
-    for f in dataclasses.fields(cls):
-        has_factory = f.default_factory is not dataclasses.MISSING
-        if f.default is dataclasses.MISSING and not has_factory:
-            required.add(f.name)
-        # null means "the default" only for None defaults and factory-built
-        # containers/configs, so e.g. a null seed cannot reach an engine
-        fields[f.name] = (_decoder(hints[f.name], f"{cls.__name__}.{f.name}"),
-                          f.default is None or has_factory)
-    tag = {"kind"} if issubclass(cls, SpecBase) else set()
-    return _Plan(fields, frozenset(fields.keys() | tag), frozenset(required))
-
-
-def _decode_dataclass(cls: type[_T], data: Any) -> _T:
-    """Build ``cls`` from its document, each field as its annotation says."""
-    if not isinstance(data, dict):
-        raise ExperimentError(f"a {cls.__name__} document must be a JSON object, "
-                              f"got {type(data).__name__}")
-    plan = _plan(cls)
-    unknown = data.keys() - plan.accepted
-    if unknown:
-        raise ExperimentError(
-            f"unknown {cls.__name__} field(s) in spec document: {sorted(unknown)}; "
-            f"known fields: {sorted(plan.fields)}")
-    missing = plan.required - data.keys()
-    if missing:
-        raise ExperimentError(
-            f"{cls.__name__} document lacks required field(s) {sorted(missing)}")
-    kwargs: dict[str, Any] = {}
-    for name, value in data.items():
-        entry = plan.fields.get(name)
-        if entry is None:  # the kind tag
-            continue
-        decode, nullable = entry
-        if value is None:
-            if nullable:
-                continue
-            raise ExperimentError(
-                f"{cls.__name__} field {name!r} cannot be null; omit it to "
-                "take the default")
-        kwargs[name] = value if decode is None else decode(value)
-    return cls(**kwargs)
-
-
-def _decoder(tp: Any, where: str) -> _Decoder | None:
-    """How to decode a value annotated ``tp`` (``None``: take it as is)."""
-    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
-    if tp in _SCALARS:
-        return None
-    if origin is dict:
-        return lambda value: dict(_expect(value, dict, where))
-    if origin is tuple and (not args or args[1:] == (Ellipsis,)):
-        item = _decoder(args[0], f"{where} entries") if args else None
-        return lambda value: tuple(
-            v if item is None else item(v) for v in _expect(value, (list, tuple), where))
-    if origin in (typing.Union, types.UnionType):
-        members = [a for a in args if a is not type(None)]
-        if len(members) == 1:
-            return _decoder(members[0], where)
-        if all(isinstance(m, type) and issubclass(m, SpecBase) for m in members):
-            return _kind_decoder(tuple(members), where)
-        structured = [m for m in members if m not in _SCALARS]
-        nested = _decoder(structured[0], where) if len(structured) == 1 else None
-        if nested is not None:  # e.g. ``int | QueueSpec``: objects decode
-            decode_object: _Decoder = nested
-            return lambda value: decode_object(value) if isinstance(value, dict) else value
-    elif origin is tp and isinstance(tp, type):
-        if issubclass(tp, _Deferred):
-            return _deferred_decoder(tp, where)
-        if issubclass(tp, enum.Enum):
-            return _enum_decoder(tp, where)
-        if issubclass(tp, SpecBase):
-            return _kind_decoder((tp,), where)
-        if dataclasses.is_dataclass(tp):
-            return functools.partial(_decode_dataclass, tp)
-    raise ExperimentError(
-        f"{where}: the spec decoder has no rule for the annotation {tp!r}; use "
-        "a scalar, an enum, a dataclass, dict, tuple[X, ...], X | None or a "
-        "union of spec kinds")
-
-
-def _expect(value: Any, types_: type | tuple[type, ...], where: str) -> Any:
-    if not isinstance(value, types_):
-        raise ExperimentError(f"{where} cannot take a {type(value).__name__}")
-    return value
-
-
-def _enum_decoder(tp: type[enum.Enum], where: str) -> _Decoder:
-    def decode(value: Any) -> enum.Enum:
-        try:
-            return tp(value)
-        except ValueError:
-            raise ExperimentError(
-                f"unknown {where} {value!r}; known: {[m.value for m in tp]}") from None
-    return decode
-
-
-def _kind_decoder(classes: tuple[type[SpecBase], ...], where: str) -> _Decoder:
-    """Pick the spec class by ``kind`` tag; untagged documents take the first."""
-    by_kind = {c.kind: c for c in classes}
-
-    def decode(value: Any) -> SpecBase:
-        tag = _expect(value, dict, where).get("kind", classes[0].kind)
-        if tag not in by_kind:
-            raise ExperimentError(
-                f"{where} must be one of {sorted(by_kind)} specs, got {tag!r}")
-        return by_kind[tag].from_dict(value)
-    return decode
-
-
-def _deferred_decoder(placeholder: type[_Deferred], where: str) -> _Decoder:
-    """Import a typing-only class when its first value is decoded."""
-    @functools.cache
-    def resolve() -> _Decoder:
-        module = importlib.import_module(placeholder.module)
-        return _decoder(getattr(module, placeholder.__name__), where) or (lambda v: v)
-    return lambda value: resolve()(value)
 
 
 def _adopt_scenario_config(spec: "RunSpec | MultiFlowSpec") -> None:
@@ -441,14 +236,13 @@ def _set_dotted(obj: Any, parameter: str, value: Any, *, root: str) -> Any:
 # base class
 # ---------------------------------------------------------------------------
 
-class SpecBase:
+class SpecBase(Tagged):
     """Shared behaviour of the declarative spec dataclasses.
 
     Subclasses are frozen dataclasses with a ``kind`` class attribute that
-    registers them in :data:`SPEC_KINDS` (the ``from_dict`` dispatch table).
+    tags their documents and registers them in :data:`SPEC_KINDS` (the
+    ``from_dict`` dispatch table).
     """
-
-    kind: ClassVar[str] = ""
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
@@ -469,22 +263,23 @@ class SpecBase:
 
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:
-        """Plain-data document (JSON-serialisable, ``kind``-tagged)."""
-        return {"kind": self.kind, **_encode_fields(self)}
+        """Plain-data document (JSON-serialisable, ``kind``-tagged), as
+        :func:`repro.codec.encode` writes it."""
+        document: dict = encode(self)
+        return document
 
     @classmethod
     def from_dict(cls: type[_S], data: dict) -> _S:
         """Rebuild a spec from its ``to_dict`` document.
 
-        One decoder serves every kind: each field's annotation says how its
-        value decodes (a nested dataclass, ``X | None``, ``tuple[X, ...]``,
-        ``dict``, an enum, ``int | QueueSpec``, or a union of spec kinds
-        picked by the ``kind`` tag, untagged documents taking the first).
+        :func:`repro.codec.decode` serves every kind: each field's
+        annotation says how its value decodes, and a union of spec kinds is
+        picked by the ``kind`` tag, untagged documents taking the first.
         An absent field takes its default; an unknown field, or a ``null``
         where the default is neither ``None`` nor a built container/config,
-        raises :class:`~repro.errors.ExperimentError`.
+        raises :class:`~repro.errors.DocumentError`.
         """
-        return _decode_dataclass(cls, data)
+        return decode(cls, data)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -770,7 +565,9 @@ class MultiFlowSpec(SpecBase):
     shared_paths: bool = False
     scenario: "ScenarioSpec | None" = None
     backend: str = "packet"
-    churn: "FlowArrivalSpec | None" = None
+    # omitted when absent, so pre-churn documents — and their cache keys,
+    # which address every stored result — are unchanged
+    churn: "FlowArrivalSpec | None" = field(default=None, metadata=OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "flows", tuple(self.flows))
@@ -863,14 +660,6 @@ class MultiFlowSpec(SpecBase):
         """
         return _set_dotted(self, parameter, value, root=parameter)
 
-    # -- serialization ---------------------------------------------------
-    def to_dict(self) -> dict:
-        # churn is omitted when absent so pre-churn documents — and their
-        # cache keys, which address every stored result — are unchanged
-        data = super().to_dict()
-        if data.get("churn") is None:
-            data.pop("churn", None)
-        return data
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.analysis import (
     downsample,
     kv_table,
     resample_step,
-    series_mean,
 )
 from repro.errors import ExperimentError
 
@@ -45,47 +44,6 @@ class TestCumulativeCountSeries:
     def test_final_value_is_total(self, events):
         out = cumulative_count_series(events, [10.0])
         assert out[-1] == len(events)
-
-
-class TestSeriesMean:
-    def test_constant_series(self):
-        assert series_mean([0.0, 1.0], [5.0, 5.0], 0.0, 1.0) == pytest.approx(5.0)
-
-    def test_step_series(self):
-        # 0 for the first half, 10 for the second
-        mean = series_mean([0.0, 5.0], [0.0, 10.0], 0.0, 10.0)
-        assert mean == pytest.approx(5.0, abs=0.1)
-
-    def test_invalid_window(self):
-        with pytest.raises(ExperimentError):
-            series_mean([0.0], [1.0], 1.0, 1.0)
-
-    def test_empty(self):
-        assert series_mean([], []) == 0.0
-
-    def test_exact_piecewise_integral(self):
-        # 0 on [0,1), 10 on [1,3), 20 on [3,4): integral 40 over 4 s.
-        # Pinned exactly — the mean is the true step integral, not a grid
-        # sample.
-        assert series_mean([0.0, 1.0, 3.0], [0.0, 10.0, 20.0], 0.0, 4.0) == 10.0
-
-    def test_window_cuts_inside_segments(self):
-        # window [1,3] sees value 1 on [1,2) and 3 on [2,3)
-        assert series_mean([0.0, 2.0], [1.0, 3.0], 1.0, 3.0) == 2.0
-
-    def test_dense_series_does_not_alias(self):
-        # A 0/1 square wave with 1000 transitions over [0,1]: a fixed-size
-        # sampling grid strides this with one parity and reads ~0 or ~1;
-        # the exact integral is 0.5 (the regression the fix pins).
-        t = np.arange(1000) / 1000.0
-        v = np.tile([0.0, 1.0], 500)
-        assert series_mean(t, v, 0.0, 1.0) == pytest.approx(0.5, abs=1e-9)
-
-    def test_partial_window_of_dense_series(self):
-        t = np.arange(1000) / 1000.0
-        v = np.tile([0.0, 1.0], 500)
-        # [0.25, 0.75] spans 500 segments, still perfectly balanced
-        assert series_mean(t, v, 0.25, 0.75) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestDownsample:

@@ -20,7 +20,6 @@ from repro.control import (
     gains_from_ultimate,
     relay_tune,
     simulate_closed_loop,
-    simulate_p_only,
 )
 from repro.errors import TuningError
 
@@ -142,8 +141,9 @@ class TestUltimateGainSearch:
         """The fluid IFQ loop (integrator + delay) has a real ultimate gain."""
         def evaluate(kp):
             process = QueueProcessModel(capacity=1.0, drain_rate_pps=86.0, rtt=0.06)
-            result = simulate_p_only(process, kp=kp, setpoint=0.9, duration=8.0,
-                                     dt=0.002, output_min=-1.0, output_max=1.0)
+            controller = PIDController(PIDGains(kp=kp), setpoint=0.9,
+                                       output_min=-1.0, output_max=1.0)
+            result = simulate_closed_loop(process, controller, duration=8.0, dt=0.002)
             return analyze_oscillation(result.times, result.pv, setpoint=0.9)
 
         search = UltimateGainSearch(evaluate, kp_initial=0.2, growth=1.8,

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-import math
 
-import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
@@ -13,30 +11,10 @@ from repro.experiments.results_io import (
     SCHEMA_VERSION,
     load_result,
     save_result,
-    to_jsonable,
 )
 from repro.experiments.sweeps import setpoint_sweep_spec
 from repro.spec import RunSpec, execute
-
 from repro.testing import SMALL_PATH
-
-
-class TestToJsonable:
-    def test_numpy_arrays_become_lists(self):
-        out = to_jsonable({"a": np.array([1.0, 2.0])})
-        assert out == {"a": [1.0, 2.0]}
-
-    def test_numpy_scalars_become_python(self):
-        out = to_jsonable(np.float64(1.5))
-        assert isinstance(out, float)
-
-    def test_infinities_are_encoded(self):
-        assert to_jsonable(math.inf) == "Infinity"
-        assert to_jsonable(-math.inf) == "-Infinity"
-
-    def test_nested_structures(self):
-        out = to_jsonable({"x": [(1, 2), {"y": np.array([3])}]})
-        assert out == {"x": [[1, 2], {"y": [3]}]}
 
 
 class TestSaveLoadRoundtrip:
@@ -57,6 +35,21 @@ class TestSaveLoadRoundtrip:
         loaded = load_result(path)
         assert loaded["kind"] == "sweep"
         assert loaded["payload"]["rows"][0]["setpoint_fraction"] == 0.9
+
+    def test_campaign_roundtrip(self, tmp_path):
+        from repro.campaign import CampaignSpec
+
+        spec = CampaignSpec(units=(
+            RunSpec(cc="reno", config=SMALL_PATH, duration=1.0, backend="fluid"),
+            RunSpec(cc="restricted", config=SMALL_PATH, duration=1.0, backend="fluid")))
+        result = execute(spec, max_workers=0)
+        loaded = load_result(save_result(result, tmp_path / "campaign.json"))
+        assert loaded["kind"] == "campaign"
+        assert loaded["cache_key"] == spec.cache_key()
+        # unit payloads in expand() order, each without its own spec
+        algorithms = [run["flow"]["algorithm"] for run in loaded["payload"]["runs"]]
+        assert algorithms == [unit.spec.cc for unit in spec.expand()]
+        assert all("spec" not in run for run in loaded["payload"]["runs"])
 
     def test_file_is_valid_json(self, tmp_path):
         result = execute(RunSpec(cc="reno", config=SMALL_PATH, duration=0.5, seed=1))

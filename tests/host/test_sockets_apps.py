@@ -10,9 +10,9 @@ from repro.host import (
     CBRSource,
     OnOffSource,
     PoissonSource,
+    SimSocket,
     SinkApp,
     listen,
-    open_connection,
 )
 from repro.tcp.cc import cc_factory
 from repro.units import Mbps
@@ -32,8 +32,8 @@ class TestSockets:
 
         listen(receiver, 8080, options=small_scenario.config.tcp_options(),
                on_connection=on_conn)
-        sock = open_connection(sender, receiver.address, 8080,
-                               options=small_scenario.config.tcp_options())
+        sock = SimSocket(sender.stack.connect(
+            receiver.address, 8080, options=small_scenario.config.tcp_options()))
         sock.send(30_000)
         sim.run(until=3.0)
         assert sum(received) == 30_000
@@ -47,8 +47,8 @@ class TestSockets:
         sender = small_scenario.senders[0]
         receiver = small_scenario.receivers[0]
         listen(receiver, 8081, options=small_scenario.config.tcp_options())
-        sock = open_connection(sender, receiver.address, 8081,
-                               options=small_scenario.config.tcp_options())
+        sock = SimSocket(sender.stack.connect(
+            receiver.address, 8081, options=small_scenario.config.tcp_options()))
         done = []
         sock.on_all_acked = lambda: done.append(sim.now)
         sock.send(5_000)
@@ -59,8 +59,8 @@ class TestSockets:
         sender = small_scenario.senders[0]
         receiver = small_scenario.receivers[0]
         listen(receiver, 8082, options=small_scenario.config.tcp_options())
-        sock = open_connection(sender, receiver.address, 8082,
-                               options=small_scenario.config.tcp_options())
+        sock = SimSocket(sender.stack.connect(
+            receiver.address, 8082, options=small_scenario.config.tcp_options()))
         sock.send(10_000)
         sim.run(until=2.0)
         assert sock.stats.DataPktsOut > 0

@@ -8,13 +8,18 @@ and hypothesis invariants (percentile ordering, fold-order invariance).
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import codec
 from repro.analysis import jain_fairness_index
 from repro.analysis.timeseries import cumulative_count_series
+from repro.errors import DocumentError
 from repro.metrics import (
     FlowRecord,
     PopulationSummary,
@@ -165,8 +170,8 @@ class TestStreamingEqualsBatch:
         acc = SummaryAccumulator(10.0)
         for record in records:
             acc.add(record)
-        assert acc.finalize().to_dict() == summarize_records(
-            records, horizon=10.0).to_dict()
+        assert codec.encode(acc.finalize()) == codec.encode(summarize_records(
+            records, horizon=10.0))
 
     def test_finalize_is_non_destructive(self):
         acc = SummaryAccumulator(10.0)
@@ -223,8 +228,8 @@ class TestInvariants:
                    for i, f in enumerate(fcts)]
         shuffled = list(records)
         np.random.default_rng(seed).shuffle(shuffled)
-        a = summarize_records(records, horizon=60.0).to_dict()
-        b = summarize_records(shuffled, horizon=60.0).to_dict()
+        a = codec.encode(summarize_records(records, horizon=60.0))
+        b = codec.encode(summarize_records(shuffled, horizon=60.0))
         # float sums may differ in the last bits under reordering
         assert a.keys() == b.keys()
         assert a["fct"]["p50"] == b["fct"]["p50"]
@@ -243,22 +248,43 @@ class TestSerialization:
             _record(1, cc="restricted", start=1.0, goodput=2e6, stalls=1),
         ]
         summary = summarize_records(records, horizon=5.0)
-        clone = PopulationSummary.from_dict(summary.to_dict())
+        clone = codec.decode(PopulationSummary, codec.encode(summary))
         assert clone == summary
-        assert clone.to_dict() == summary.to_dict()
+        assert codec.encode(clone) == codec.encode(summary)
+
+    def test_json_round_trip(self):
+        summary = summarize_records([_record(0, cc="reno", end=2.0)], horizon=5.0)
+        text = json.dumps(codec.encode(summary))
+        assert codec.decode(PopulationSummary, json.loads(text)) == summary
 
     def test_empty_round_trip(self):
         summary = SummaryAccumulator(3.0).finalize()
-        assert PopulationSummary.from_dict(summary.to_dict()) == summary
+        assert codec.decode(PopulationSummary, codec.encode(summary)) == summary
+
+    def test_groups_are_in_key_order(self):
+        # first seen: restricted, then reno; the summary lists reno first,
+        # so its groups read the same with or without sort_keys
+        records = [_record(0, cc="restricted"),
+                   dataclasses.replace(_record(1, cc="reno"), class_label="churn")]
+        summary = summarize_records(records, horizon=5.0)
+        document = codec.encode(summary)
+        assert list(document["by_cc"]) == ["reno", "restricted"]
+        assert list(document["by_class"]) == ["churn", "declared"]
 
     def test_unknown_field_rejected(self):
-        data = SummaryAccumulator(3.0).finalize().to_dict()
+        data = codec.encode(SummaryAccumulator(3.0).finalize())
         data["median_rtt"] = 0.02
-        with pytest.raises(ValueError, match="unknown PopulationSummary"):
-            PopulationSummary.from_dict(data)
+        with pytest.raises(DocumentError, match="unknown PopulationSummary"):
+            codec.decode(PopulationSummary, data)
 
     def test_nested_unknown_field_rejected(self):
-        data = SummaryAccumulator(3.0).finalize().to_dict()
+        data = codec.encode(SummaryAccumulator(3.0).finalize())
         data["fct"]["p75"] = 1.0
-        with pytest.raises(ValueError, match="unknown PercentileStats"):
-            PopulationSummary.from_dict(data)
+        with pytest.raises(DocumentError, match="unknown PercentileStats"):
+            codec.decode(PopulationSummary, data)
+
+    def test_nested_group_unknown_field_rejected(self):
+        data = codec.encode(summarize_records([_record(0)], horizon=5.0))
+        data["by_cc"]["reno"]["rtt"] = 0.02
+        with pytest.raises(DocumentError, match="unknown ClassAggregate"):
+            codec.decode(PopulationSummary, data)

@@ -67,3 +67,20 @@ assert not heavy, heavy
     src = pathlib.Path(__file__).resolve().parents[2] / "src"
     subprocess.run([sys.executable, "-c", script], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_importing_the_codec_stays_import_light():
+    # every layer encodes and decodes through repro.codec, so importing it
+    # must load neither NumPy nor an engine nor the spec layer
+    script = """
+import sys
+import repro.codec
+heavy = sorted(name for name in sys.modules
+               if name == "numpy" or name.startswith(
+                   ("numpy.", "repro.net", "repro.tcp", "repro.sim",
+                    "repro.host", "repro.fluid", "repro.spec")))
+assert not heavy, heavy
+"""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})

@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import get_experiment
+from repro.experiments.results_io import validate_document
+from repro.spec import spec_from_dict
 from repro.units import Mbps
 from repro.workloads import PathConfig
 
@@ -67,10 +69,22 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "Figure 1" in out
-        # figure-1 results are dataclass-backed but not registered for JSON
-        # persistence; the CLI must degrade gracefully either way
-        if output.exists():
-            json.loads(output.read_text())
+        assert "could not save" not in out
+        # -o saves the raw result the spec's cache key addresses, not the
+        # folded Figure-1 view
+        document = validate_document(json.loads(output.read_text()))
+        assert document["kind"] == "comparison"
+        assert spec_from_dict(document["spec"]).cache_key() == document["cache_key"]
+        assert sorted(document["payload"]["runs"]) == ["reno", "restricted"]
+
+    def test_run_campaign_experiment_saves_its_raw_result(self, capsys, tmp_path):
+        output = tmp_path / "e9f.json"
+        assert main(["run", "E9F", "--duration", "1", "-o", str(output)]) == 0
+        assert "could not save" not in capsys.readouterr().out
+        document = validate_document(json.loads(output.read_text()))
+        assert document["kind"] == "campaign"
+        spec = spec_from_dict(document["spec"])
+        assert len(document["payload"]["runs"]) == len(spec.expand())
 
     def test_run_unknown_experiment_fails_cleanly(self, capsys):
         assert main(["run", "E42"]) == 2

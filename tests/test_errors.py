@@ -17,6 +17,7 @@ ALL_ERRORS = [
     errors.ControlError,
     errors.TuningError,
     errors.ExperimentError,
+    errors.DocumentError,
 ]
 
 
