@@ -44,9 +44,11 @@ def test_fluid_speedup_on_default_run(benchmark, bench_once):
         speedup = packet_wall / max(fluid_wall, 1e-9)
         worst_speedup = min(worst_speedup, speedup)
         err = abs(fluid.goodput_bps - packet.goodput_bps) / packet.goodput_bps
+        events = int(packet.telemetry.counters["events"])
+        steps = int(fluid.telemetry.counters["fluid_steps"])
         lines.append(
-            f"{cc:12s} packet {packet.events_processed:>9,} events / {packet_wall:6.2f}s   "
-            f"fluid {fluid.events_processed:>7,} steps / {fluid_wall * 1e3:7.1f}ms   "
+            f"{cc:12s} packet {events:>9,} events / {packet_wall:6.2f}s   "
+            f"fluid {steps:>7,} steps / {fluid_wall * 1e3:7.1f}ms   "
             f"speedup {speedup:6.0f}x   goodput {fluid.goodput_bps / 1e6:6.2f} vs "
             f"{packet.goodput_bps / 1e6:6.2f} Mbit/s (err {err:5.1%})"
         )

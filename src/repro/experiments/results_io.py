@@ -16,7 +16,7 @@ The format is intentionally simple and stable:
 
     {
       "kind": "single_flow",
-      "schema_version": 3,
+      "schema_version": 4,
       "spec": { "kind": "run", ... },
       "cache_key": "sha256...",
       "payload": { ... }
@@ -30,7 +30,10 @@ Version 2 added the metrics plane (``records``/``summary`` on multi-flow
 payloads).  Version 3 changed no field: it marks the results of multi-flow
 specs in the ``flows=`` form, which the packet engine now runs as the
 scenario :func:`~repro.spec.scenario.from_bulk_flows` declares (honouring
-``path_index`` and a restricted flow's ``cc_kwargs``).  Documents at a
+``path_index`` and a restricted flow's ``cc_kwargs``).  Version 4 dropped
+the single-flow ``events_processed`` work count (the telemetry sidecar
+keeps it) and made every aggregate goodput delivered bits over the
+summary horizon.  Documents at a
 version in :data:`LEGACY_SCHEMA_VERSIONS` still
 load — they simply predate those fields — while unknown (future or
 nonsense) versions are rejected.  The campaign store is stricter on
@@ -78,12 +81,16 @@ __all__ = [
 #: 3: same layout; the packet engine runs ``MultiFlowSpec(flows=...)`` as
 #: its ``from_bulk_flows`` scenario, so those results changed under
 #: unchanged cache keys.
-SCHEMA_VERSION = 3
+#: 4: single-flow payloads lose ``events_processed`` (a work count, kept in
+#: the telemetry sidecar as ``events``/``fluid_steps``), and every
+#: aggregate goodput and link utilization is delivered bits over the
+#: summary horizon instead of a sum of per-flow goodputs.
+SCHEMA_VERSION = 4
 
 #: Older versions :func:`validate_document` still accepts (read-compatible:
 #: they merely lack fields added since).  The campaign store does NOT serve
 #: cache hits from these — see :meth:`repro.campaign.store.ResultStore.get`.
-LEGACY_SCHEMA_VERSIONS = frozenset({1, 2})
+LEGACY_SCHEMA_VERSIONS = frozenset({1, 2, 3})
 
 _KINDS = {
     "single_flow": SingleFlowResult,

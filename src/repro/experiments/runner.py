@@ -129,7 +129,6 @@ class SingleFlowResult:
     cwnd_segments: np.ndarray
     acked_times: np.ndarray
     acked_bytes: np.ndarray
-    events_processed: int
     #: Which engine produced this result ("packet" or "fluid").
     backend: str = "packet"
     #: The declarative spec that produced this result (provenance; the
@@ -250,23 +249,27 @@ def _report_packet_counters(sim: Simulator, scenario: Scenario,
 def multi_flow_aggregates(
     flows: Sequence[FlowResult],
     capacity_bps: float,
+    window: float,
     streamed: PopulationSummary | None = None,
 ) -> tuple[float, float, float]:
     """Aggregate goodput, Jain index and link utilization of a multi-flow run.
 
-    Both engines report their multi-flow figures through this function.
-    The aggregate sums the per-flow goodputs in declaration order; under
-    streamed churn the materialised ``flows`` cover declared flows only, so
-    the aggregate and Jain index come from the ``streamed`` summary, which
-    saw every flow.  Utilization is the aggregate over ``capacity_bps``.
+    Every engine reports its multi-flow figures through this function.  The
+    aggregate is the bits delivered (acknowledged) by all flows over one
+    measurement ``window`` — the run's summary horizon — not a sum of
+    per-flow goodputs, each of which is taken over its own flow's lifetime.
+    Under streamed churn the materialised ``flows`` cover declared flows
+    only, so the delivered bytes and Jain index come from the ``streamed``
+    summary, which saw every flow.  Utilization is the aggregate over
+    ``capacity_bps``; Jain's index stays per-flow.
     """
     if streamed is not None:
-        aggregate = streamed.aggregate_goodput_bps
+        delivered = streamed.total_bytes_acked
         jain = streamed.jain_index if streamed.jain_index is not None else 1.0
     else:
-        goodputs = [f.goodput_bps for f in flows]
-        aggregate = float(sum(goodputs))
-        jain = jain_fairness_index(goodputs)
+        delivered = sum(f.bytes_acked for f in flows)
+        jain = jain_fairness_index([f.goodput_bps for f in flows])
+    aggregate = delivered * 8.0 / window if window > 0 else 0.0
     return aggregate, jain, utilization(aggregate, capacity_bps)
 
 
@@ -350,7 +353,6 @@ def execute_packet_run(spec: RunSpec) -> SingleFlowResult:
             cwnd_segments=cwnd_vals,
             acked_times=acked_times,
             acked_bytes=acked_vals,
-            events_processed=sim.events_processed,
         )
         _report_packet_counters(sim, scenario, [flow])
     return result
@@ -383,7 +385,8 @@ def execute_multi_flow_spec(spec: MultiFlowSpec) -> MultiFlowResult:
         records, summary = _population_outcomes(
             flows, endpoints, completion_order, horizon=spec.duration)
         drops, marks, capacity = _bottleneck_counters(scenario)
-        aggregate, jain, link_utilization = multi_flow_aggregates(flows, capacity)
+        aggregate, jain, link_utilization = multi_flow_aggregates(
+            flows, capacity, window=summary.horizon)
         result = MultiFlowResult(
             config=scn.config,
             duration=sim.now,

@@ -118,7 +118,6 @@ def execute_fluid_run(spec: RunSpec):
             cwnd_segments=np.asarray(raw.cwnd_segments, dtype=float),
             acked_times=np.asarray(raw.times, dtype=float),
             acked_bytes=np.asarray(raw.acked_bytes, dtype=float),
-            events_processed=raw.steps,
             backend=FLUID_BACKEND,
         )
     return result
@@ -301,7 +300,9 @@ def execute_fluid_multi_flow(spec, engine: str | None = None):
         summary = raw.summary
         streamed = summary if churn is not None else None
         aggregate, jain, link_utilization = multi_flow_aggregates(
-            flows, cfg.bottleneck_rate_bps, streamed=streamed)
+            flows, cfg.bottleneck_rate_bps,
+            window=summary.horizon if summary is not None else raw.duration,
+            streamed=streamed)
         result = MultiFlowResult(
             config=cfg,
             duration=raw.duration,

@@ -236,6 +236,9 @@ def cross_validate(
                                        max_workers=max_workers)
     for (cfg, _cc), i in zip(cells, range(0, len(documents), 2)):
         packet, fluid = documents[i]["payload"], documents[i + 1]["payload"]
+        # work counts live in the cache-neutral telemetry sidecar
+        packet_counters = documents[i]["telemetry"]["counters"]
+        fluid_counters = documents[i + 1]["telemetry"]["counters"]
         row = ValidationRow(
             algorithm=packet["flow"]["algorithm"],
             config=cfg,
@@ -245,8 +248,8 @@ def cross_validate(
             fluid_send_stalls=fluid["flow"]["send_stalls"],
             packet_ifq_peak=packet["ifq_peak"],
             fluid_ifq_peak=fluid["ifq_peak"],
-            packet_events=packet["events_processed"],
-            fluid_steps=fluid["events_processed"],
+            packet_events=packet_counters["events"],
+            fluid_steps=fluid_counters["fluid_steps"],
             failures=[],
         )
         _check(row, tolerance)

@@ -94,7 +94,10 @@ class PopulationSummary:
     """Population-level statistics over a run's flow records.
 
     All goodput figures are bits/second; ``horizon`` is the nominal run
-    duration the concurrency grid spans.  ``jain_index`` is ``None`` for an
+    duration the concurrency grid spans, and the measurement window of
+    every aggregate: ``aggregate_goodput_bps`` (here and per group) is the
+    bits the flows delivered divided by ``horizon``, while
+    ``mean_goodput_bps`` and ``jain_index`` stay per-flow.  ``jain_index`` is ``None`` for an
     empty population (fairness of nothing is undefined).  ``by_class`` and
     ``by_cc`` hold their groups in key order, so the document
     :func:`repro.codec.encode` writes is the same with or without
@@ -146,12 +149,12 @@ class _GroupState:
         self.bytes_acked += bytes_acked
         self.goodput_sum += goodput_sum
 
-    def finalize(self) -> ClassAggregate:
+    def finalize(self, horizon: float) -> ClassAggregate:
         return ClassAggregate(
             flows=self.flows,
             completed=self.completed,
             bytes_acked=self.bytes_acked,
-            aggregate_goodput_bps=self.goodput_sum,
+            aggregate_goodput_bps=self.bytes_acked * 8.0 / horizon,
             mean_goodput_bps=self.goodput_sum / self.flows if self.flows else 0.0,
         )
 
@@ -341,7 +344,7 @@ class SummaryAccumulator:
             horizon=self.horizon,
             n_flows=n,
             n_completed=self._n_completed,
-            aggregate_goodput_bps=self._goodput_sum,
+            aggregate_goodput_bps=self._bytes_acked * 8.0 / self.horizon,
             mean_goodput_bps=self._goodput_sum / n if n else 0.0,
             jain_index=jain,
             total_bytes_acked=self._bytes_acked,
@@ -349,8 +352,9 @@ class SummaryAccumulator:
             total_loss_events=self._loss_events,
             total_retransmits=self._retransmits,
             fct=self._fct_stats(),
-            by_class={k: v.finalize() for k, v in sorted(self._by_class.items())},
-            by_cc={k: v.finalize() for k, v in sorted(self._by_cc.items())},
+            by_class={k: v.finalize(self.horizon)
+                      for k, v in sorted(self._by_class.items())},
+            by_cc={k: v.finalize(self.horizon) for k, v in sorted(self._by_cc.items())},
             grid_times=tuple(float(t) for t in self._grid),
             concurrent_flows=tuple(int(c) for c in concurrent),
             mean_concurrency=self._active_time / self.horizon,

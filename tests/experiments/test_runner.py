@@ -22,7 +22,7 @@ class TestRunSingleFlow:
         assert result.goodput_bps > 0
         assert len(result.ifq_times) == len(result.ifq_occupancy) > 0
         assert len(result.cwnd_times) == len(result.cwnd_segments) > 0
-        assert result.events_processed > 0
+        assert result.telemetry.counters["events"] > 0
 
     def test_same_seed_is_deterministic(self):
         spec = RunSpec(cc="reno", config=SMALL_PATH, duration=1.5, seed=3)
@@ -108,7 +108,7 @@ class TestRunMultiFlow:
         assert len(result.flows) == 2
         assert result.aggregate_goodput_bps > 0
         assert 0.5 <= result.jain_index <= 1.0
-        assert result.link_utilization <= 1.05
+        assert result.link_utilization <= 1.0
 
     def test_mixed_algorithms(self):
         result = _multi_flow([BulkFlowSpec(cc="restricted"), BulkFlowSpec(cc="reno")],

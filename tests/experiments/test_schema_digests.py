@@ -32,6 +32,7 @@ TESTS = pathlib.Path(__file__).resolve().parent.parent
 #: engines produced under that version.
 SCHEMA_DIGESTS = {
     3: "671095174177278fc33a1c0afb008fe2d3e720e34e559eb70731a722077830b9",
+    4: "e431d8ede19ef2a3d783b87fed13bfd49f520232d99d898feb982ed5b5a68765",
 }
 
 

@@ -26,7 +26,7 @@ class TestBackendDispatch:
         assert result.flow.bytes_acked > 0
         assert len(result.ifq_times) == len(result.ifq_occupancy) > 0
         assert len(result.cwnd_times) == len(result.cwnd_segments) > 0
-        assert result.events_processed > 0
+        assert result.telemetry.counters["fluid_steps"] > 0
 
     def test_packet_results_are_marked(self):
         result = execute(RunSpec(cc="reno", config=SMALL_PATH, duration=1.0))

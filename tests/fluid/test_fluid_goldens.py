@@ -63,66 +63,66 @@ def _e12f_point():
 GOLDENS = {
     "restricted": (
         lambda: _fluid_run(),
-        # schema 3; at schema_version 2 this document hashed to 9d52405b0a577c70…
-        "b77c757454a97c38230617645e0b095bb4e92471d55e47fe780b9cdb788940b4",
+        # schema 4; at schema_version 3 this document hashed to b77c757454a97c38…
+        "b1ceea0474efe63e1cc02ae53ab7417c371dd7719db658aca0b2ee35f7347bdd",
         4670, 0),
     "reno": (
         lambda: _fluid_run("reno"),
-        # schema 3; at schema_version 2 this document hashed to de71a665aea8374c…
-        "9db2ae8f5ea9a1d08748af0366d2317bede1ace5b02f5aa5dcd182e92485139a",
+        # schema 4; at schema_version 3 this document hashed to 9db2ae8f5ea9a1d0…
+        "69ffc7a94aa8a37b9f2fbe96d72a80e638d81eccae7db94b8856014fb3cc6073",
         287, 2),
     "limited_slow_start": (
         lambda: _fluid_run("limited_slow_start",
                            cc_kwargs={"max_ssthresh_segments": 10.0}),
-        # schema 3; at schema_version 2 this document hashed to 8f9001c7c6e24f90…
-        "4fbc7897af037f25a6aac510c6216b6216e90ac81a81f829b101e03a466305d3",
+        # schema 4; at schema_version 3 this document hashed to 4fbc7897af037f25…
+        "9a7c71e5b93e1adfc648f81edfcd3156a485e3843da115e7df63188a103de360",
         287, 2),
     "restricted_default_path": (
         lambda: RunSpec(cc="restricted", duration=5.0, seed=1, backend="fluid"),
-        # schema 3; at schema_version 2 this document hashed to 37526f41e52b3c29…
-        "1939b858bbdc775257f5eb90c991f5a075eb5eedb096689726a5ec748c1369f9",
+        # schema 4; at schema_version 3 this document hashed to 1939b858bbdc7752…
+        "f5bc1d0d5a0daeec9a1a280c053c6f1b143377280db1501aa0acd94c7e633508",
         7553, 0),
     "restricted_tiny_ifq": (
         lambda: _fluid_run(config=TINY_IFQ),
-        # schema 3; at schema_version 2 this document hashed to 964e3590b4c8996c…
-        "3131fc82d86ee77cd37051ab0eeda200a76d0f7b9964f641921f90dc5c33e9a3",
+        # schema 4; at schema_version 3 this document hashed to 3131fc82d86ee77c…
+        "e597e5fc3f11d8d41dd74469f385258aa95d4b96bd0c905857893280e1816198",
         2787, 2),
     "restricted_ignore": (
         lambda: _fluid_run(config=TINY_IFQ, local_congestion_policy="ignore"),
-        # schema 3; at schema_version 2 this document hashed to 925ea2e0d718b955…
-        "c9f0ae73a602c04dd24df33ba07fda281f651784b9c1b2b3e206a1840932cf1c",
+        # schema 4; at schema_version 3 this document hashed to c9f0ae73a602c04d…
+        "fe33c6fbf9228118c4c0abd2e102311d6631b3a6e82581fd903dd49967e6a1da",
         4118, 1590),
     "reno_ignore": (
         lambda: _fluid_run("reno", local_congestion_policy="ignore"),
-        # schema 3; at schema_version 2 this document hashed to 36ae7ffc23741ec4…
-        "31bf892db7f59c66953b4e57552c8a73636917eac6f0c6a91cf2a2365df8d5b3",
+        # schema 4; at schema_version 3 this document hashed to 31bf892db7f59c66…
+        "095aa298ce57d2f19f708f546ddc7000d6bc5107c74d1040d6bdea662ce9df5f",
         292, 91),
     "restricted_clamp_only": (
         lambda: _fluid_run(config=TINY_IFQ, local_congestion_policy="clamp_only"),
-        # schema 3; at schema_version 2 this document hashed to 46426f03b1b2cebd…
-        "8e4a13cc572eabda5ec4a4b1979963ef47bd1c3b3b794e38a682f2ad3fa94847",
+        # schema 4; at schema_version 3 this document hashed to 8e4a13cc572eabda…
+        "d2a9e6461738b44149990a7486b8d0bd55166ceb811db6c112f5327bd9eef4f0",
         3864, 56),
     "restricted_finite_transfer": (
         lambda: _fluid_run(duration=5.0, total_bytes=1_000_000),
-        # schema 3; at schema_version 2 this document hashed to c68d05c45e3c93c6…
-        "487df5d25fcb7afa583cac82ad4b47958682decb1c20249efde7d1be59e2df01",
+        # schema 4; at schema_version 3 this document hashed to 487df5d25fcb7afa…
+        "9a70f69969f1982dcda4bfb3b82a055d6174706d51a21536192b9127cb8e9ca9",
         697, 0),
     "restricted_start_stop": (
         _start_stop_run,
-        # schema 3; at schema_version 2 this document hashed to 569cdaa56785787b…
-        "6d7b06a770806a4bee7afe8093ee7d6eaec7ec6e97600d2d64b711c82f7520e5",
+        # schema 4; at schema_version 3 this document hashed to 6d7b06a770806a4b…
+        "1be36a9daa76fba3dc0519d0adbc45147566fc10270be2e395b506cdd01e1c8a",
         2158, 0),
     "e12f_point": (
         _e12f_point,
-        # schema 3; at schema_version 2 this document hashed to ea729b82a7fef654…
-        "f02e3fa2cbb1e96e0fa243f3bb624780471bd43bb246909cfa0c2a2a5dd251be",
+        # schema 4; at schema_version 3 this document hashed to f02e3fa2cbb1e96e…
+        "55669aa690cd6b593a62b32b0d9c9fc85a40be66d8894b17472488a3c87b976d",
         440, 2),
     "restricted_multiflow": (
         lambda: MultiFlowSpec(scenario=dumbbell(SMALL_PATH, 2, ccs="restricted",
                                                 start_times=(0.0, 0.5)),
                               duration=3.0, seed=1, backend="fluid"),
-        # schema 3; at schema_version 2 this document hashed to 7909ae1b1ec5acd1…
-        "fa23170cf49daa11ec7f05c13868f5222f415f6654b47650de4d23b65ff95319",
+        # schema 4; at schema_version 3 this document hashed to fa23170cf49daa11…
+        "88913bfccd6a853280d58219f48ec325c3ebbcdad704a0f87435d5d409c5d882",
         5550, 0),
 }
 

@@ -126,8 +126,9 @@ class TestBackendDispatch:
         assert len(result.flows) == 2
         assert all(f.bytes_acked > 0 for f in result.flows)
         assert 0.0 < result.jain_index <= 1.0
+        # delivered bits over the 5 s window, not a sum of per-flow goodputs
         assert result.aggregate_goodput_bps == pytest.approx(
-            sum(f.goodput_bps for f in result.flows))
+            sum(f.bytes_acked for f in result.flows) * 8.0 / 5.0)
 
     def test_legacy_flows_form_runs_fluid(self):
         spec = MultiFlowSpec(

@@ -191,8 +191,9 @@ class TestScalarVectorParity:
 
 
 #: sha256 of the restricted churn result document, minus its telemetry
-#: sidecar (``TestSideChannel``); schema 3.
-RESTRICTED_CHURN_DIGEST = "beb1be2dbba9d94360030a736b077188e13538e4191c568241f9a417f1e700f9"
+#: sidecar (``TestSideChannel``); schema 4.  At schema_version 3 it hashed
+#: to beb1be2dbba9d943… (the aggregate then summed per-flow goodputs).
+RESTRICTED_CHURN_DIGEST = "af3550ed7a270ddd4236642e9fb166641a7ddfacd9fca94b1d49679527718958"
 
 
 class TestSideChannel:
@@ -309,7 +310,7 @@ class TestSideChannel:
     def test_restricted_churn_result_is_pinned(self):
         # sha256 of the result document (minus its telemetry sidecar): any
         # drift in the side-channel arithmetic or visiting order moves it.
-        # Schema 3; at schema_version 2 this document hashed to f27d64cf2ee6c9c2…
+        # Schema 4 (RESTRICTED_CHURN_DIGEST records the schema-3 value)
         document = result_document(execute(_restricted_churn_spec()))
         document.pop("telemetry", None)
         text = json.dumps(document, sort_keys=True)

@@ -136,7 +136,9 @@ class TestStatistics:
         summary = summarize_records(records, horizon=5.0)
         reno = summary.by_cc["reno"]
         assert reno.flows == 2 and reno.completed == 1
-        assert reno.aggregate_goodput_bps == pytest.approx(4e6)
+        # the aggregate is delivered bits over the horizon, the mean per-flow
+        assert reno.aggregate_goodput_bps == pytest.approx(30 * 8 / 5.0)
+        assert summary.aggregate_goodput_bps == pytest.approx(60 * 8 / 5.0)
         assert reno.mean_goodput_bps == pytest.approx(2e6)
         assert reno.bytes_acked == 30
         assert summary.by_cc["restricted"].flows == 1

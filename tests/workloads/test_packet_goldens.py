@@ -46,28 +46,28 @@ GOLDENS = {
     "reno_vs_restricted": (
         lambda: ComparisonSpec(base=RunSpec(config=SMALL_PATH, duration=2.0, seed=1),
                                algorithms=("reno", "restricted")),
-        # schema 3; at schema_version 2 this document hashed to 362201f42b608a3b…
-        "4be2562965a6a7d1cbc78c6bf66937b7ea0ce87d04b24cd1c2ad780f5aa04fa6",
+        # schema 4; at schema_version 3 this document hashed to 4be2562965a6a7d1…
+        "296efdf4888e6f06de48582ba23ad4068ce00cb9fdec84508bb154ec787cfbf0",
         41793, 46480, 20863),
     "e12_point": (
         _e12_point,
-        # schema 3; at schema_version 2 this document hashed to f8582d6a8c6e002e…
-        "97accd51ad82c21d6f9b01aa78fa17ec3e46faf1fa4c3c098ef1f1e0ee918543",
+        # schema 4; at schema_version 3 this document hashed to 97accd51ad82c21d…
+        "b3e9aa92277ce3cafec8d4e1f59b8f27c24a134ed7894ca594ca800ef7282930",
         22521, 25048, 11284),
     "prague_dualpi2": (
         lambda: _aqm_cell("prague", "dualpi2"),
-        # schema 3; at schema_version 2 this document hashed to adb5cc500f203ed0…
-        "72367a3cd7e95e62b7fe54d8216210b3d4206de56a979e686e87c3b073fd4c07",
+        # schema 4; at schema_version 3 this document hashed to 72367a3cd7e95e62…
+        "f2f736aae102267100d1feaf38c193a80da717d37a0337db69a8a0ace2b6c455",
         1630, 1804, 816),
     "reno_red": (
         lambda: _aqm_cell("reno", "red"),
-        # schema 3; at schema_version 2 this document hashed to 7412c3738539c12d…
-        "fdcee1b002fc0eb13e636e6fd42e72d1e968df9006a415e50700e782ba50c1f6",
+        # schema 4; at schema_version 3 this document hashed to fdcee1b002fc0eb1…
+        "9ca217d2e151dc6c1f7663497955a2f691664d2e4f1a60c7081a8578a02b4674",
         11043, 12198, 5535),
     "lossy_link": (
         lambda: RunSpec(duration=2.0, seed=1, scenario=lossy_link(SMALL_PATH, loss=0.01)),
-        # schema 3; at schema_version 2 this document hashed to a1e4dd8613dd379c…
-        "c0c257bf31bd18bad419fb36a4f0c3809580c0f0ec30e28445d4c461d35126bd",
+        # schema 4; at schema_version 3 this document hashed to c0c257bf31bd18ba…
+        "99295a6dbf980e556d90ad31f94560a6641cb4e44138988d340ffb2d3ca12570",
         4923, 5355, 2426),
 }
 
