@@ -83,10 +83,11 @@ class Host(Node):
     # ------------------------------------------------------------------
     def send_packet(self, packet: Packet) -> bool:
         """Transmit via the default NIC; False means the IFQ rejected it."""
-        if not self.interfaces:
+        interfaces = self.interfaces
+        if not interfaces:
             self.unroutable_packets += 1
             return False
-        return self.default_interface.send(packet)
+        return interfaces[0].send(packet)
 
     def receive(self, packet: Packet, interface: NetworkInterface) -> None:
         """Demultiplex an arriving packet to TCP or the UDP sinks."""

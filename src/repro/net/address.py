@@ -10,7 +10,7 @@ segments at a host).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Address", "AddressAllocator", "FlowId"]
 
@@ -43,9 +43,12 @@ class AddressAllocator:
         return len(self.allocated)
 
 
-@dataclass(frozen=True)
-class FlowId:
-    """Identifies one unidirectional flow (``src``/``dst`` address + port pair)."""
+class FlowId(NamedTuple):
+    """Identifies one unidirectional flow (``src``/``dst`` address + port pair).
+
+    A named tuple, so hashing and equality run in C: every arriving segment
+    is demultiplexed by its flow.
+    """
 
     src: Address
     dst: Address

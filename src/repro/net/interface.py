@@ -14,6 +14,19 @@ local-congestion event exactly as the 2.4.x Linux kernels did.
 Interfaces also track utilisation (busy-time integral) and expose the
 occupancy figures the restricted-slow-start controller consumes
 (:attr:`qlen`, :attr:`capacity_packets`, :meth:`occupancy`).
+
+Event model: one event per packet-hop.  The transmitter is a ``free_at``
+time, the end of the serialisation on the wire.  When a packet starts
+serialising at ``now`` its delivery to the peer is scheduled at once, at
+``(now + size·8/rate) + delay_s``.  A completion event, at ``free_at``, is
+scheduled only while packets wait in the queue behind the one on the wire:
+it starts the next transmission.  A packet that finds the transmitter idle
+and the queue empty passes through the queue
+(:meth:`~repro.net.queues.PacketQueue.pass_through`) and starts at once.
+The packet on the wire is never in :attr:`qlen`.  The loss draw is taken
+when serialisation starts, in per-interface FIFO order as before; the
+counters in :class:`InterfaceStats` still count a packet once its
+serialisation has completed (the interface settles them lazily).
 """
 
 from __future__ import annotations
@@ -76,8 +89,8 @@ class NetworkInterface:
     name:
         Human-readable name used in traces and reports.
     loss_model:
-        Optional :class:`~repro.net.lossmodels.LossModel` applied after
-        serialisation (models corruption on the wire, not queue drops).
+        Optional :class:`~repro.net.lossmodels.LossModel` applied to each
+        serialised packet (models corruption on the wire, not queue drops).
     """
 
     def __init__(
@@ -103,9 +116,20 @@ class NetworkInterface:
         self.loss_model = loss_model if loss_model is not None else NoLoss()
         self.peer_node: Optional["Node"] = None
         self.peer_interface: Optional["NetworkInterface"] = None
-        self.stats = InterfaceStats()
-        self._busy = False
-        self._busy_since = 0.0
+        self._stats = InterfaceStats()
+        #: End of the serialisation on the wire (the transmitter is idle
+        #: from then on unless a completion event is armed).
+        self._free_at = 0.0
+        #: The last packet put on the wire, until its serialisation is
+        #: counted in ``_stats``; its start time and loss verdict.
+        self._on_wire: Packet | None = None
+        self._wire_start = 0.0
+        self._wire_lost = False
+        self._wire_seq = 0
+        #: True while a completion event is scheduled at ``_free_at``
+        #: (packets wait in the queue behind the one on the wire).
+        self._completion_armed = False
+        self._clock = sim.clock
         #: Observers called as ``fn(interface, packet)`` when an enqueue fails.
         self.stall_listeners: list[Callable[["NetworkInterface", Packet], None]] = []
         if sim.trace.enabled and queue.trace is None:
@@ -169,16 +193,23 @@ class NetworkInterface:
         return self.queue.occupancy_fraction()
 
     @property
+    def stats(self) -> InterfaceStats:
+        """Counters, with every serialisation completed by now counted."""
+        if self._on_wire is not None and self.sim.now >= self._free_at:
+            self._settle()
+        return self._stats
+
+    @property
     def is_busy(self) -> bool:
         """True while a packet is being serialised onto the wire."""
-        return self._busy
+        return self._on_wire is not None and self.sim.now < self._free_at
 
     def utilization(self, now: float | None = None) -> float:
         """Fraction of time the transmitter has been busy since t=0."""
-        now = self.sim.now if now is None else now
         busy = self.stats.busy_time
-        if self._busy:
-            busy += now - self._busy_since
+        now = self.sim.now if now is None else now
+        if self.is_busy:
+            busy += now - self._wire_start
         return busy / now if now > 0 else 0.0
 
     # ------------------------------------------------------------------
@@ -195,52 +226,95 @@ class NetworkInterface:
         if self.peer_node is None:
             raise TopologyError(f"interface {self.name!r} is not connected")
         queue = self.queue
-        if not queue.enqueue(packet):
-            self.stats.enqueue_failures += 1
-            for listener in self.stall_listeners:
-                listener(self, packet)
-            return False
-        if not self._busy:
-            # start transmitting (an AQM may still drop the head: no packet)
-            head = queue.dequeue()
-            if head is not None:
-                sim = self.sim
-                self._busy = True
-                self._busy_since = sim.now
-                sim.post(head.size_bytes * 8.0 / self.rate_bps,
-                         self._transmission_complete, head)
+        now = self._clock()
+        if self._completion_armed or now < self._free_at:
+            # the transmitter is busy: the packet waits behind it
+            if not queue.enqueue(packet):
+                return self._reject(packet)
+            if not self._completion_armed:
+                self._completion_armed = True
+                self.sim.post_at(self._free_at, self._complete, seq=self._wire_seq)
+            return True
+        head = queue.pass_through(packet)
+        if head is False:
+            return self._reject(packet)
+        if head is not None:
+            # (an AQM may still drop the head at dequeue: no packet)
+            self._transmit(head, now)
         return True
 
+    def _reject(self, packet: Packet) -> bool:
+        self._stats.enqueue_failures += 1
+        for listener in self.stall_listeners:
+            listener(self, packet)
+        return False
+
     # ------------------------------------------------------------------
-    # internal transmitter state machine
+    # internal transmitter
     # ------------------------------------------------------------------
-    def _transmission_complete(self, packet: Packet) -> None:
+    def _transmit(self, packet: Packet, now: float) -> None:
+        """Put ``packet`` on the wire at ``now`` and schedule its delivery."""
+        wire = self._on_wire
+        if wire is not None:
+            # _settle, inlined: the previous serialisation ended by now
+            stats = self._stats
+            stats.busy_time += self._free_at - self._wire_start
+            stats.packets_sent += 1
+            stats.bytes_sent += wire.size_bytes
+            if self._wire_lost:
+                stats.packets_lost += 1
         sim = self.sim
-        now = sim.now
-        stats = self.stats
-        stats.busy_time += now - self._busy_since
-        self._busy = False
-        stats.packets_sent += 1
-        stats.bytes_sent += packet.size_bytes
+        free_at = now + packet.size_bytes * 8.0 / self.rate_bps
+        self._free_at = free_at
+        self._on_wire = packet
+        self._wire_start = now
+        # the completion event's place among same-time events, should one
+        # be needed: where the two-event transmitter scheduled it, at start
+        self._wire_seq = sim.reserve_seq()
         should_drop = self._should_drop
         if should_drop is not None and should_drop(packet, self._loss_rng):
-            stats.packets_lost += 1
-            sim.trace.record("link", "loss", time=now, iface=self.name, uid=packet.uid)
+            self._wire_lost = True
+            # no delivery: an event at the end of serialisation still marks
+            # the loss, so the clock reaches it as it did before
+            sim.post_at(free_at, self._lost, packet.uid)
         else:
+            self._wire_lost = False
             packet.hops += 1
-            sim.post(self.delay_s, self._deliver, packet)
+            sim.post_at(free_at + self.delay_s, self._deliver, packet)
+
+    def _settle(self) -> None:
+        """Count the serialisation of the packet on the wire as completed.
+
+        :meth:`_transmit` inlines the same accounting; the two must change
+        together.
+        """
+        packet = self._on_wire
+        assert packet is not None
+        self._on_wire = None
+        stats = self._stats
+        stats.busy_time += self._free_at - self._wire_start
+        stats.packets_sent += 1
+        stats.bytes_sent += packet.size_bytes
+        if self._wire_lost:
+            stats.packets_lost += 1
+
+    def _complete(self) -> None:
+        """Completion event: the wire is free and packets wait; start the next."""
         queue = self.queue
-        if not queue.is_empty:
-            # start the next transmission, as in send()
-            head = queue.dequeue()
-            if head is not None:
-                self._busy = True
-                self._busy_since = now
-                sim.post(head.size_bytes * 8.0 / self.rate_bps,
-                         self._transmission_complete, head)
+        head = queue.dequeue() if not queue.is_empty else None
+        if head is not None:
+            # this event runs at _free_at, the end of the last serialisation
+            self._transmit(head, self._free_at)
+            if not queue.is_empty:
+                self.sim.post_at(self._free_at, self._complete, seq=self._wire_seq)
+                return
+        self._completion_armed = False
+
+    def _lost(self, uid: int) -> None:
+        self.sim.trace.record("link", "loss", time=self.sim.now, iface=self.name, uid=uid)
 
     def _deliver(self, packet: Packet) -> None:
-        stats = self.stats
+        stats = self._stats
         stats.packets_delivered += 1
         stats.bytes_delivered += packet.size_bytes
         self.peer_node.receive(packet, self.peer_interface)  # type: ignore[union-attr,arg-type]

@@ -41,6 +41,8 @@ def ecn_capable(packet: "Packet") -> bool:
     """True when an AQM may CE-mark ``packet`` instead of dropping it."""
     return packet.ecn in (ECN_ECT0, ECN_ECT1)
 
+#: Source of packet uids; :class:`~repro.tcp.segment.TCPSegment`, which
+#: inlines :meth:`Packet.__init__`, draws from it too.
 _uid_counter = itertools.count(1)
 
 

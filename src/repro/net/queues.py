@@ -23,7 +23,7 @@ instead of dropping them; marks are counted separately from drops in
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Literal, Optional
 
 import numpy as np
 
@@ -313,6 +313,20 @@ class PacketQueue:
                               queue=self.name, uid=packet.uid, qlen=self.qlen)
         return packet
 
+    def pass_through(self, packet: Packet) -> Packet | None | Literal[False]:
+        """Admit ``packet`` and dequeue the head at once.
+
+        What an idle interface does with an arriving packet: :meth:`enqueue`
+        then :meth:`dequeue`, so an AQM takes every decision it takes on
+        that path.  The queue is almost always empty then, and the packet
+        passes straight through.  Returns ``False`` when the queue rejected
+        the packet, else what :meth:`dequeue` returned (``None`` when an AQM
+        dropped the head).
+        """
+        if not self.enqueue(packet):
+            return False
+        return self.dequeue()
+
     def peek(self) -> Packet | None:
         """Head-of-line packet without removing it."""
         return self._queue[0] if self._queue else None
@@ -348,6 +362,38 @@ class DropTailQueue(PacketQueue):
             return False
         capacity_bytes = self.capacity_bytes
         return capacity_bytes is None or self._bytes + packet.size_bytes <= capacity_bytes
+
+    def pass_through(self, packet: Packet) -> Packet | None | Literal[False]:
+        """:meth:`PacketQueue.pass_through` without the deque round trip.
+
+        On the empty queue the counters, peaks and occupancy integral move
+        exactly as ``enqueue`` then ``dequeue`` would move them.  A
+        non-empty queue, or tracing (which emits the ``queue`` records),
+        takes the general path.
+        """
+        if self._queue or self.trace is not None:
+            return super().pass_through(packet)
+        now = self._clock()
+        stats = self.stats
+        if now > stats._last_change:
+            # the empty queue adds nothing to the integral up to now
+            stats._last_change = now
+        size = packet.size_bytes
+        capacity_bytes = self.capacity_bytes
+        if capacity_bytes is not None and self._bytes + size > capacity_bytes:
+            # _admit on the empty queue: the packet limit is at least one
+            self._count_drop(packet)
+            return False
+        packet.enqueued_at = now
+        stats.enqueued += 1
+        stats.bytes_enqueued += size
+        stats.dequeued += 1
+        stats.bytes_dequeued += size
+        if stats.peak_packets < 1:
+            stats.peak_packets = 1
+        if self._bytes + size > stats.peak_bytes:
+            stats.peak_bytes = self._bytes + size
+        return packet
 
 
 class InfiniteQueue(PacketQueue):

@@ -9,16 +9,17 @@ classic event-list pattern:
   ``(time, priority, seq, handle, callback, args)``, ordered by
   ``(time, priority, seq)``; ``seq`` is unique, so the comparison never
   reaches the other fields and same-time, same-priority entries run in
-  the order they were scheduled;
+  the order they were scheduled (or in the order their ``seq`` was
+  reserved, :meth:`Simulator.reserve_seq`);
 * :meth:`Simulator.run` pops entries until the horizon, a stop request, or
   exhaustion, and calls ``callback(*args)`` directly;
 * ``handle`` is the :class:`~repro.sim.events.Event` returned by
   :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`; cancellation
   is lazy (the handle is flagged and the entry skipped when popped), which
-  keeps the hot path free of heap surgery.  :meth:`Simulator.post`
-  schedules without a handle (``handle`` is ``None``): the two events of
-  every packet-hop, transmission-complete and delivery, are never
-  cancelled, so they allocate no :class:`Event`.
+  keeps the hot path free of heap surgery.  :meth:`Simulator.post` and
+  :meth:`Simulator.post_at` schedule without a handle (``handle`` is
+  ``None``): a packet-hop's delivery and an interface's completion event
+  are never cancelled, so they allocate no :class:`Event`.
 
 Callbacks take positional arguments only; bind keywords with
 :func:`functools.partial`.
@@ -141,15 +142,22 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = EventPriority.NORMAL,
+        seq: int | None = None,
     ) -> Event:
-        """Schedule ``callback(*args)`` at an absolute simulation ``time``."""
+        """Schedule ``callback(*args)`` at an absolute simulation ``time``.
+
+        ``seq`` is a number taken earlier with :meth:`reserve_seq`: the
+        event then runs among same-time events as if it had been scheduled
+        when the number was taken.
+        """
         if not self._now <= time < _INF:
             if math.isnan(time) or math.isinf(time):
                 raise SimulationError(f"event time must be finite, got {time!r}")
             raise ScheduleInPastError(
                 f"cannot schedule at {time!r}; current time is {self._now!r}"
             )
-        self._seq = seq = self._seq + 1
+        if seq is None:
+            self._seq = seq = self._seq + 1
         event = Event(time, priority, seq, callback, args)
         heapq.heappush(self._heap, (time, priority, seq, event, callback, args))
         self.events_scheduled += 1
@@ -169,6 +177,38 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (time, _NORMAL, seq, None, callback, args))
         self.events_scheduled += 1
+
+    def post_at(self, time: float, callback: Callable[..., Any], *args: Any,
+                seq: int | None = None) -> None:
+        """Schedule ``callback(*args)`` at an absolute ``time``, without a handle.
+
+        :meth:`post` at an absolute time, validated like :meth:`schedule_at`
+        and taking its ``seq``.  The packet engine schedules each delivery at
+        ``(start + size/rate) + delay``, two roundings that no single
+        relative delay reproduces.
+        """
+        if not self._now <= time < _INF:
+            if math.isnan(time) or math.isinf(time):
+                raise SimulationError(f"event time must be finite, got {time!r}")
+            raise ScheduleInPastError(
+                f"cannot schedule at {time!r}; current time is {self._now!r}"
+            )
+        if seq is None:
+            self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (time, _NORMAL, seq, None, callback, args))
+        self.events_scheduled += 1
+
+    def reserve_seq(self) -> int:
+        """Take the next FIFO sequence number for an event scheduled later.
+
+        Pass it as ``seq`` to :meth:`post_at` or :meth:`schedule_at`: among
+        events at the same time, that event runs where one scheduled now
+        would.  The packet interface reserves its completion event's place
+        when serialisation starts and posts the event only if packets queue
+        behind; a timer reserves its place on each lazy restart.
+        """
+        self._seq = seq = self._seq + 1
+        return seq
 
     def cancel(self, event: Event | None) -> None:
         """Cancel a previously scheduled event (no-op for ``None``)."""

@@ -26,15 +26,25 @@ class Timer:
     """A restartable one-shot timer.
 
     The callback fires once, ``timeout`` seconds after the most recent
-    :meth:`start` / :meth:`restart`.  Stopping or restarting cancels the
-    previously armed expiry.
+    :meth:`start` / :meth:`restart`.  Stopping cancels the armed expiry.
+
+    A restart to a later expiry (the retransmission timer on every ACK)
+    keeps the armed heap entry and records the new deadline, with the FIFO
+    place a freshly scheduled expiry would take
+    (:meth:`~repro.sim.engine.Simulator.reserve_seq`).  When the entry comes
+    due it re-arms itself at that deadline and place, so the timer fires
+    exactly when and in the order a cancel-and-reschedule would have fired
+    it.  A restart to an earlier expiry cancels and reschedules.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = "timer") -> None:
         self.sim = sim
         self.callback = callback
         self.name = name
+        #: The armed heap entry; it may come due before ``_deadline``.
         self._event: Event | None = None
+        self._deadline = 0.0
+        self._deadline_seq = 0
         self.expirations = 0
 
     # ------------------------------------------------------------------
@@ -46,10 +56,7 @@ class Timer:
     @property
     def expiry_time(self) -> float | None:
         """Absolute expiry time, or ``None`` when idle."""
-        if self.is_running:
-            assert self._event is not None
-            return self._event.time
-        return None
+        return self._deadline if self.is_running else None
 
     # ------------------------------------------------------------------
     def start(self, timeout: float) -> None:
@@ -58,10 +65,22 @@ class Timer:
             raise ConfigurationError(f"timer timeout must be >= 0, got {timeout!r}")
         if self.is_running:
             raise ConfigurationError(f"timer {self.name!r} is already running")
-        self._event = self.sim.schedule(timeout, self._fire)
+        self._event = event = self.sim.schedule(timeout, self._fire)
+        self._deadline = event.time
+        self._deadline_seq = event.seq
 
     def restart(self, timeout: float) -> None:
-        """(Re-)arm the timer, cancelling any previously armed expiry."""
+        """(Re-)arm the timer ``timeout`` seconds from now."""
+        event = self._event
+        if event is not None and not event.cancelled:
+            if timeout < 0:
+                raise ConfigurationError(f"timer timeout must be >= 0, got {timeout!r}")
+            sim = self.sim
+            deadline = sim.now + timeout
+            if deadline >= event.time:
+                self._deadline = deadline
+                self._deadline_seq = sim.reserve_seq()
+                return
         self.stop()
         self.start(timeout)
 
@@ -72,6 +91,13 @@ class Timer:
             self._event = None
 
     def _fire(self) -> None:
+        event = self._event
+        assert event is not None
+        if event.seq != self._deadline_seq:
+            # a restart moved the deadline: re-arm there, in its FIFO place
+            self._event = self.sim.schedule_at(self._deadline, self._fire,
+                                               seq=self._deadline_seq)
+            return
         self._event = None
         self.expirations += 1
         self.callback()

@@ -108,6 +108,9 @@ class CongestionControl:
     def __init__(self, ctx: CCContext) -> None:
         self.ctx = ctx
         opts = ctx.options
+        #: Sender maximum segment size in bytes (fixed for the connection;
+        #: a plain attribute because every ACK reads it).
+        self.mss: int = opts.mss
         self.cwnd: float = float(opts.initial_cwnd_segments)
         if opts.initial_ssthresh_segments is None:
             self.ssthresh: float = math.inf
@@ -123,10 +126,6 @@ class CongestionControl:
     # ------------------------------------------------------------------
     # derived quantities
     # ------------------------------------------------------------------
-    @property
-    def mss(self) -> int:
-        return self.ctx.mss
-
     @property
     def cwnd_bytes(self) -> int:
         """Congestion window in bytes."""

@@ -251,7 +251,7 @@ class TCPConnection:
         if self.state not in (ConnState.ESTABLISHED, ConnState.CLOSING):
             return
 
-        if seg.is_pure_ack:
+        if seg.payload_bytes == 0 and not seg.syn and not seg.fin:  # is_pure_ack
             self.stats.AckPktsIn += 1
         if seg.ack_flag:
             self._process_ack(seg)
@@ -297,7 +297,7 @@ class TCPConnection:
             self._process_duplicate_ack()
 
     def _process_new_ack(self, seg: TCPSegment, ack: int, now: float) -> None:
-        in_flight_before = self.bytes_in_flight
+        in_flight_before = self.snd_nxt - self.snd_una
         acked = ack - self.snd_una
         self.snd_una = ack
         self._purge_rtx_queue(ack)
@@ -464,11 +464,13 @@ class TCPConnection:
         ):
             self.cc.after_idle(now - self.last_send_time, self.rto_estimator.rto)
         sent = 0
+        # a send that succeeds leaves the window alone; one that stalls
+        # ends the loop, so the window is read once
+        window = min(self.cc.cwnd_bytes, self.peer_rwnd)
         while self.app_pending_bytes > 0:
             if opts.max_burst_segments is not None and sent >= opts.max_burst_segments:
                 break
-            window = min(self.cc.cwnd_bytes, self.peer_rwnd)
-            available = window - self.bytes_in_flight
+            available = window - (self.snd_nxt - self.snd_una)
             payload = min(opts.mss, self.app_pending_bytes)
             if available < payload:
                 break
@@ -564,7 +566,8 @@ class TCPConnection:
             if self.delack_pending == 0:
                 # echo the timestamp of the earliest segment the next ACK covers
                 self.ts_recent = seg.ts_val
-            self.rcv_nxt += seg.seq_space
+            # seg.seq_space, inlined
+            self.rcv_nxt += seg.payload_bytes + (1 if seg.syn else 0) + (1 if seg.fin else 0)
             self.stats.DataPktsIn += 1
             self.stats.DataBytesIn += seg.payload_bytes
             delivered = seg.payload_bytes
@@ -618,12 +621,13 @@ class TCPConnection:
         retransmission: bool = False,
     ) -> TCPSegment:
         now = self.sim.now
+        opts = self.options
         ece = cwr = False
         ecn_codepoint = ECN_NOT_ECT
         if syn:
             if not ack_flag:
                 # ECN-setup SYN: ECE+CWR both set (RFC 3168 §6.1.1)
-                ece = cwr = self.options.ecn
+                ece = cwr = opts.ecn
             else:
                 # ECN-setup SYN-ACK: ECE set, CWR clear
                 ece = self.ecn_enabled
@@ -646,10 +650,10 @@ class TCPConnection:
             payload_bytes=payload,
             syn=syn,
             ack_flag=ack_flag,
-            rwnd=self.options.rwnd_bytes,
-            ts_val=now if self.options.timestamps else 0.0,
-            ts_ecr=self.ts_recent if (ack_flag and self.options.timestamps) else 0.0,
-            header_bytes=self.options.header_bytes,
+            rwnd=opts.rwnd_bytes,
+            ts_val=now if opts.timestamps else 0.0,
+            ts_ecr=self.ts_recent if (ack_flag and opts.timestamps) else 0.0,
+            header_bytes=opts.header_bytes,
             created_at=now,
             retransmission=retransmission,
             ece=ece,

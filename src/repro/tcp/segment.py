@@ -9,7 +9,7 @@ style timestamps (used for RTT sampling without Karn ambiguity).
 from __future__ import annotations
 
 from ..net.address import Address, FlowId
-from ..net.packet import PROTO_TCP, Packet
+from ..net.packet import PROTO_TCP, Packet, _uid_counter
 from ..units import DEFAULT_HEADER_BYTES
 
 __all__ = ["TCPSegment"]
@@ -54,15 +54,17 @@ class TCPSegment(Packet):
         cwr: bool = False,
         ecn: int = 0,
     ) -> None:
-        super().__init__(
-            size_bytes=payload_bytes + header_bytes,
-            src=src,
-            dst=dst,
-            flow=flow,
-            protocol=PROTO_TCP,
-            created_at=created_at,
-            ecn=ecn,
-        )
+        # Packet.__init__'s assignments, inlined: one segment per send
+        self.uid = next(_uid_counter)
+        self.size_bytes = int(payload_bytes + header_bytes)
+        self.src = src
+        self.dst = dst
+        self.flow = flow
+        self.protocol = PROTO_TCP
+        self.created_at = created_at
+        self.enqueued_at = created_at
+        self.hops = 0
+        self.ecn = ecn
         #: First sequence number covered by this segment.
         self.seq = seq
         #: Cumulative acknowledgement number (next byte expected by sender of
