@@ -19,9 +19,9 @@ bottleneck queue short with (near-)zero loss.
 
 Accounting invariants (shared with the classic disciplines and pinned by
 tests): tail rejections count as drops at enqueue; CoDel's head drops are
-counted as drops *after* the packet was counted enqueued (so ``enqueued ==
-dequeued + head_drops + qlen``); a marked packet is never also counted as
-dropped.
+counted as drops *after* the packet was counted enqueued and dequeued (so
+``enqueued == dequeued + qlen``, and ``dequeued - head_drops`` packets
+reached the wire); a marked packet is never also counted as dropped.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class CoDelQueue(PacketQueue):
 
     def _head_drop(self, packet: Packet) -> None:
         # packet was already counted dequeued by _pop_head; the drop is
-        # accounted on top so enqueued == dequeued stays the wire total and
+        # accounted on top so enqueued == dequeued + qlen holds and
         # head_drops lets tests separate the two drop causes
         self.head_drops += 1
         self._count_drop(packet)

@@ -80,6 +80,73 @@ class TestTimer:
         timer.stop()  # should not raise
 
 
+class TestLazyRestart:
+    """A restart to a later expiry keeps the heap entry, which re-arms
+    itself at the new deadline in the FIFO place of the restart."""
+
+    def test_reports_the_new_expiry(self, sim):
+        timer = Timer(sim, lambda: None)
+        timer.start(1.0)
+        sim.run(until=0.25)
+        timer.restart(2.0)
+        assert timer.is_running
+        assert timer.expiry_time == 2.25
+        sim.run(until=1.5)  # the first entry came due and re-armed
+        assert timer.is_running and timer.expiry_time == 2.25
+        assert timer.expirations == 0
+
+    def test_restart_to_an_earlier_expiry_fires_early(self, sim):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(2.0)
+        timer.restart(0.5)
+        assert timer.expiry_time == 0.5
+        sim.run()
+        assert fired == [0.5]
+
+    def test_stop_after_a_lazy_restart_never_fires(self, sim):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(1.0)
+        sim.run(until=0.5)
+        timer.restart(1.0)
+        timer.stop()
+        assert not timer.is_running and timer.expiry_time is None
+        sim.run()
+        assert fired == []
+        # stopped while re-armed, too
+        timer.start(1.0)
+        timer.restart(3.0)
+        sim.run(until=sim.now + 2.0)
+        timer.stop()
+        sim.run()
+        assert fired == [] and timer.expirations == 0
+
+    def test_firing_sequence_is_pinned(self, sim):
+        # the RTO pattern: restarted on every "ACK", fires once they stop,
+        # re-armed from its own callback; same-time events keep the order
+        # a cancel and reschedule at each restart gave them
+        log = []
+
+        def expired():
+            log.append(("fire", sim.now))
+            if timer.expirations == 1:
+                timer.start(0.25)
+                timer.restart(0.5)
+
+        timer = Timer(sim, expired)
+        sim.schedule_at(1.75, log.append, ("before", 1.75))
+        timer.start(1.0)
+        for t in (0.25, 0.5, 0.75):
+            sim.schedule_at(t, timer.restart, 1.0)
+        sim.schedule_at(1.0, sim.schedule_at, 1.75, log.append, ("after", 1.75))
+        sim.schedule_at(2.25, log.append, ("tie", 2.25))
+        sim.run()
+        assert log == [("before", 1.75), ("fire", 1.75), ("after", 1.75),
+                       ("tie", 2.25), ("fire", 2.25)]
+        assert timer.expirations == 2 and not timer.is_running
+
+
 class TestPeriodicTask:
     def test_fires_every_interval(self, sim):
         ticks = []
