@@ -26,23 +26,28 @@ class Timer:
     """A restartable one-shot timer.
 
     The callback fires once, ``timeout`` seconds after the most recent
-    :meth:`start` / :meth:`restart`.  Stopping cancels the armed expiry.
+    :meth:`start` / :meth:`restart`, unless :meth:`stop` disarms it first.
 
-    A restart to a later expiry (the retransmission timer on every ACK)
-    keeps the armed heap entry and records the new deadline, with the FIFO
-    place a freshly scheduled expiry would take
-    (:meth:`~repro.sim.engine.Simulator.reserve_seq`).  When the entry comes
-    due it re-arms itself at that deadline and place, so the timer fires
-    exactly when and in the order a cancel-and-reschedule would have fired
-    it.  A restart to an earlier expiry cancels and reschedules.
+    Protocol timers are re-armed far more often than they fire (the
+    retransmission timer on every ACK, the delayed-ACK timer on every
+    other segment), so re-arming is lazy.  The timer keeps one heap entry.
+    Stopping only disarms; arming for an expiry no earlier than the entry
+    records the deadline, with the FIFO place a freshly scheduled expiry
+    would take (:meth:`~repro.sim.engine.Simulator.reserve_seq`).  When the
+    entry comes due it fires, re-arms itself at that deadline and place, or
+    lapses if the timer was disarmed, so the timer fires exactly when, and
+    in the order, a cancel and reschedule would have fired it.  Arming for
+    an earlier expiry cancels the entry and schedules a new one.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = "timer") -> None:
         self.sim = sim
         self.callback = callback
         self.name = name
-        #: The armed heap entry; it may come due before ``_deadline``.
+        #: The pending heap entry; it may come due before ``_deadline``,
+        #: and outlive a :meth:`stop`.
         self._event: Event | None = None
+        self._armed = False
         self._deadline = 0.0
         self._deadline_seq = 0
         self.expirations = 0
@@ -51,54 +56,58 @@ class Timer:
     @property
     def is_running(self) -> bool:
         """True while an expiry is armed."""
-        return self._event is not None and not self._event.cancelled
+        return self._armed
 
     @property
     def expiry_time(self) -> float | None:
         """Absolute expiry time, or ``None`` when idle."""
-        return self._deadline if self.is_running else None
+        return self._deadline if self._armed else None
 
     # ------------------------------------------------------------------
     def start(self, timeout: float) -> None:
         """Arm the timer ``timeout`` seconds from now (error if already armed)."""
         if timeout < 0:
             raise ConfigurationError(f"timer timeout must be >= 0, got {timeout!r}")
-        if self.is_running:
+        if self._armed:
             raise ConfigurationError(f"timer {self.name!r} is already running")
-        self._event = event = self.sim.schedule(timeout, self._fire)
+        sim = self.sim
+        self._armed = True
+        event = self._event
+        if event is not None:
+            deadline = sim.now + timeout
+            if deadline >= event.time:
+                # keep the pending entry; it re-arms itself when it comes due
+                self._deadline = deadline
+                self._deadline_seq = sim.reserve_seq()
+                return
+            sim.cancel(event)
+        self._event = event = sim.schedule(timeout, self._fire)
         self._deadline = event.time
         self._deadline_seq = event.seq
 
     def restart(self, timeout: float) -> None:
         """(Re-)arm the timer ``timeout`` seconds from now."""
-        event = self._event
-        if event is not None and not event.cancelled:
-            if timeout < 0:
-                raise ConfigurationError(f"timer timeout must be >= 0, got {timeout!r}")
-            sim = self.sim
-            deadline = sim.now + timeout
-            if deadline >= event.time:
-                self._deadline = deadline
-                self._deadline_seq = sim.reserve_seq()
-                return
-        self.stop()
+        self._armed = False
         self.start(timeout)
 
     def stop(self) -> None:
         """Disarm the timer (no-op when idle)."""
-        if self._event is not None:
-            self.sim.cancel(self._event)
-            self._event = None
+        self._armed = False
 
     def _fire(self) -> None:
         event = self._event
         assert event is not None
+        if not self._armed:
+            # stopped since this entry was scheduled: it lapses
+            self._event = None
+            return
         if event.seq != self._deadline_seq:
-            # a restart moved the deadline: re-arm there, in its FIFO place
+            # re-armed for a later deadline: move there, in its FIFO place
             self._event = self.sim.schedule_at(self._deadline, self._fire,
                                                seq=self._deadline_seq)
             return
         self._event = None
+        self._armed = False
         self.expirations += 1
         self.callback()
 

@@ -543,11 +543,15 @@ class TCPConnection:
         self._try_send()
 
     def _purge_rtx_queue(self, ack: int) -> None:
-        for seq in list(self.rtx_queue):
-            if seq + self.rtx_queue[seq][0] <= ack:
-                del self.rtx_queue[seq]
-            else:
+        # the queue is in sequence order: drop the fully acknowledged prefix
+        rtx = self.rtx_queue
+        acked = []
+        for seq, entry in rtx.items():
+            if seq + entry[0] > ack:
                 break
+            acked.append(seq)
+        for seq in acked:
+            del rtx[seq]
 
     # ==================================================================
     # receiving data / generating ACKs
@@ -641,24 +645,27 @@ class TCPConnection:
                 if self._cwr_pending:
                     cwr = True
                     self._cwr_pending = False
+        # positional, in TCPSegment's parameter order: calling a class with
+        # keywords builds a dict, which costs more than the segment's fields
         return TCPSegment(
-            src=self.local_addr,
-            dst=self.remote_addr,
-            flow=self.flow,
-            seq=seq,
-            ack=self.rcv_nxt if ack_flag else 0,
-            payload_bytes=payload,
-            syn=syn,
-            ack_flag=ack_flag,
-            rwnd=opts.rwnd_bytes,
-            ts_val=now if opts.timestamps else 0.0,
-            ts_ecr=self.ts_recent if (ack_flag and opts.timestamps) else 0.0,
-            header_bytes=opts.header_bytes,
-            created_at=now,
-            retransmission=retransmission,
-            ece=ece,
-            cwr=cwr,
-            ecn=ecn_codepoint,
+            self.local_addr,                                             # src
+            self.remote_addr,                                            # dst
+            self.flow,                                                   # flow
+            seq,                                                         # seq
+            self.rcv_nxt if ack_flag else 0,                             # ack
+            payload,                                                     # payload_bytes
+            syn,                                                         # syn
+            False,                                                       # fin
+            ack_flag,                                                    # ack_flag
+            opts.rwnd_bytes,                                             # rwnd
+            now if opts.timestamps else 0.0,                             # ts_val
+            self.ts_recent if (ack_flag and opts.timestamps) else 0.0,   # ts_ecr
+            opts.header_bytes,                                           # header_bytes
+            now,                                                         # created_at
+            retransmission,                                              # retransmission
+            ece,                                                         # ece
+            cwr,                                                         # cwr
+            ecn_codepoint,                                               # ecn
         )
 
     def _set_state(self, new_state: ConnState) -> None:

@@ -54,6 +54,8 @@ class TCPSegment(Packet):
         cwr: bool = False,
         ecn: int = 0,
     ) -> None:
+        # TCPConnection._make_segment passes every argument positionally:
+        # keep this parameter order.
         # Packet.__init__'s assignments, inlined: one segment per send
         self.uid = next(_uid_counter)
         self.size_bytes = int(payload_bytes + header_bytes)

@@ -122,6 +122,19 @@ class TestLazyRestart:
         sim.run()
         assert fired == [] and timer.expirations == 0
 
+    def test_stop_then_start_reuses_the_pending_entry(self, sim):
+        # the delayed-ACK pattern: armed, stopped, armed again later
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        for t in (0.0, 0.25, 0.5):
+            sim.schedule_at(t, timer.start, 1.0)
+            sim.schedule_at(t + 0.125, timer.stop)
+        sim.schedule_at(0.75, timer.start, 1.0)
+        sim.run()
+        assert fired == [1.75] and timer.expirations == 1
+        # one expiry entry served every arming: 7 driver events + 1 + 1 re-arm
+        assert sim.events_scheduled == 9
+
     def test_firing_sequence_is_pinned(self, sim):
         # the RTO pattern: restarted on every "ACK", fires once they stop,
         # re-armed from its own callback; same-time events keep the order
