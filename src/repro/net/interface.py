@@ -21,12 +21,12 @@ serialising at ``now`` its delivery to the peer is scheduled at once, at
 ``(now + size·8/rate) + delay_s``.  A completion event, at ``free_at``, is
 scheduled only while packets wait in the queue behind the one on the wire:
 it starts the next transmission.  A packet that finds the transmitter idle
-and the queue empty passes through the queue
-(:meth:`~repro.net.queues.PacketQueue.pass_through`) and starts at once.
-The packet on the wire is never in :attr:`qlen`.  The loss draw is taken
-when serialisation starts, in per-interface FIFO order as before; the
-counters in :class:`InterfaceStats` still count a packet once its
-serialisation has completed (the interface settles them lazily).
+passes through the queue (:meth:`~repro.net.queues.PacketQueue.pass_through`)
+and, the queue being empty, starts at once.  The packet on the wire is
+never in :attr:`qlen`.  The loss draw is taken when serialisation starts,
+in per-interface FIFO order; the counters in :class:`InterfaceStats` count
+a packet once its serialisation has completed (the interface settles them
+lazily).
 """
 
 from __future__ import annotations
@@ -268,14 +268,14 @@ class NetworkInterface:
         self._free_at = free_at
         self._on_wire = packet
         self._wire_start = now
-        # the completion event's place among same-time events, should one
-        # be needed: where the two-event transmitter scheduled it, at start
+        # should a packet queue behind this one, its completion event runs
+        # among same-time events as if scheduled now, at the start
         self._wire_seq = sim.reserve_seq()
         should_drop = self._should_drop
         if should_drop is not None and should_drop(packet, self._loss_rng):
             self._wire_lost = True
-            # no delivery: an event at the end of serialisation still marks
-            # the loss, so the clock reaches it as it did before
+            # no delivery; an event at the end of serialisation still marks
+            # the loss, so the loss record and the clock reach that time
             sim.post_at(free_at, self._lost, packet.uid)
         else:
             self._wire_lost = False

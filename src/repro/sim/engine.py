@@ -16,10 +16,10 @@ classic event-list pattern:
 * ``handle`` is the :class:`~repro.sim.events.Event` returned by
   :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`; cancellation
   is lazy (the handle is flagged and the entry skipped when popped), which
-  keeps the hot path free of heap surgery.  :meth:`Simulator.post` and
-  :meth:`Simulator.post_at` schedule without a handle (``handle`` is
-  ``None``): a packet-hop's delivery and an interface's completion event
-  are never cancelled, so they allocate no :class:`Event`.
+  keeps the hot path free of heap surgery.  :meth:`Simulator.post_at`
+  schedules without a handle (``handle`` is ``None``): a packet-hop's
+  delivery and an interface's completion event are never cancelled, so
+  they allocate no :class:`Event`.
 
 Callbacks take positional arguments only; bind keywords with
 :func:`functools.partial`.
@@ -163,29 +163,16 @@ class Simulator:
         self.events_scheduled += 1
         return event
 
-    def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``callback(*args)`` after ``delay`` seconds, without a handle.
-
-        Same validation, priority (``NORMAL``) and FIFO order as
-        :meth:`schedule`, but nothing is returned, so the callback cannot be
-        cancelled and no :class:`Event` is allocated.  For per-packet events
-        nobody cancels.
-        """
-        if not 0.0 <= delay < _INF:
-            raise _invalid_delay(delay)
-        time = self._now + delay
-        self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (time, _NORMAL, seq, None, callback, args))
-        self.events_scheduled += 1
-
     def post_at(self, time: float, callback: Callable[..., Any], *args: Any,
                 seq: int | None = None) -> None:
         """Schedule ``callback(*args)`` at an absolute ``time``, without a handle.
 
-        :meth:`post` at an absolute time, validated like :meth:`schedule_at`
-        and taking its ``seq``.  The packet engine schedules each delivery at
-        ``(start + size/rate) + delay``, two roundings that no single
-        relative delay reproduces.
+        Same validation, ``seq``, priority (``NORMAL``) and FIFO order as
+        :meth:`schedule_at`, but nothing is returned, so the callback cannot
+        be cancelled and no :class:`Event` is allocated: for per-packet
+        events nobody cancels.  The packet engine schedules each delivery at
+        ``(start + size/rate) + delay``, two roundings that no relative
+        delay reproduces.
         """
         if not self._now <= time < _INF:
             if math.isnan(time) or math.isinf(time):
@@ -313,7 +300,7 @@ class Simulator:
     def drain(self) -> Iterable[Event]:
         """Remove and yield all remaining events (used by tests/teardown).
 
-        Entries scheduled without a handle (:meth:`post`) are yielded as a
+        Entries scheduled without a handle (:meth:`post_at`) are yielded as a
         fresh :class:`Event`, so every pending entry yields one.
         """
         while self._heap:

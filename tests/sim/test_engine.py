@@ -63,21 +63,19 @@ class TestScheduling:
 
 
 class TestSchedulingContract:
-    """One validated push behind ``schedule``, ``schedule_at`` and ``post``."""
+    """One validated push behind ``schedule``, ``schedule_at`` and ``post_at``."""
 
     @pytest.mark.parametrize("delay", [-1e-9, -1.0, -math.inf])
     def test_negative_delay_raises_schedule_in_past(self, sim, delay):
         with pytest.raises(ScheduleInPastError):
             sim.schedule(delay, lambda: None)
-        with pytest.raises(ScheduleInPastError):
-            sim.post(delay, lambda: None)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_delay_or_time_raises(self, sim, value):
         with pytest.raises(SimulationError) as delay_error:
             sim.schedule(value, lambda: None)
         with pytest.raises(SimulationError) as post_error:
-            sim.post(value, lambda: None)
+            sim.post_at(value, lambda: None)
         with pytest.raises(SimulationError) as time_error:
             sim.schedule_at(value, lambda: None)
         for error in (delay_error, post_error, time_error):
@@ -88,17 +86,19 @@ class TestSchedulingContract:
         sim.run()
         with pytest.raises(ScheduleInPastError):
             sim.schedule_at(0.999, lambda: None)
+        with pytest.raises(ScheduleInPastError):
+            sim.post_at(0.999, lambda: None)
 
     def test_rejected_schedule_leaves_no_trace(self, sim):
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(SimulationError):
-                sim.post(bad, lambda: None)
+                sim.post_at(bad, lambda: None)
         assert sim.events_scheduled == 0
         assert sim.pending_events() == 0
 
     def test_zero_delay_runs_now(self, sim):
         fired = []
-        sim.post(0.0, lambda: fired.append(sim.now))
+        sim.post_at(0.0, lambda: fired.append(sim.now))
         sim.schedule_at(0.0, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [0.0, 0.0]
@@ -107,7 +107,7 @@ class TestSchedulingContract:
         order = []
         for tag in range(12):
             if tag % 3 == 0:
-                sim.post(1.0, order.append, tag)
+                sim.post_at(1.0, order.append, tag)
             elif tag % 3 == 1:
                 sim.schedule(1.0, order.append, tag)
             else:
@@ -115,29 +115,38 @@ class TestSchedulingContract:
         sim.run()
         assert order == list(range(12))
 
+    def test_reserved_seq_runs_in_its_reserved_place(self, sim):
+        order = []
+        sim.schedule_at(1.0, order.append, "first")
+        seq = sim.reserve_seq()
+        sim.post_at(1.0, order.append, "third")
+        sim.schedule_at(1.0, order.append, "second", seq=seq)
+        sim.run()
+        assert order == ["first", "second", "third"]
+
     def test_post_returns_no_handle_and_counts(self, sim):
-        assert sim.post(0.5, lambda: None) is None
+        assert sim.post_at(0.5, lambda: None) is None
         assert sim.events_scheduled == 1
         sim.run()
         assert sim.events_processed == 1
 
     def test_post_passes_positional_args(self, sim):
         got = []
-        sim.post(0.1, lambda a, b: got.append((a, b, sim.now)), 1, 2)
+        sim.post_at(0.1, lambda a, b: got.append((a, b, sim.now)), 1, 2)
         sim.run()
         assert got == [(1, 2, 0.1)]
 
     def test_clock_is_the_current_time(self, sim):
         clock = sim.clock
         seen = []
-        sim.post(0.25, lambda: seen.append((clock(), sim.now)))
+        sim.post_at(0.25, lambda: seen.append((clock(), sim.now)))
         sim.run()
         assert seen == [(0.25, 0.25)]
         assert clock() == sim.now == 0.25
 
     def test_step_runs_handleless_entries(self, sim):
         fired = []
-        sim.post(0.2, fired.append, "post")
+        sim.post_at(0.2, fired.append, "post")
         ev = sim.schedule(0.1, fired.append, "cancelled")
         sim.schedule(0.3, fired.append, "schedule")
         sim.cancel(ev)
@@ -150,7 +159,7 @@ class TestSchedulingContract:
         assert sim.events_processed == 2
 
     def test_drain_yields_an_event_per_pending_entry(self, sim):
-        sim.post(2.0, print, "b")
+        sim.post_at(2.0, print, "b")
         handle = sim.schedule(1.0, print, "a")
         sim.cancel(handle)
         sim.schedule_at(3.0, print, "c")
@@ -165,7 +174,7 @@ class TestSchedulingContract:
     def test_peek_next_time_sees_handleless_entries(self, sim):
         assert sim.peek_next_time() is None
         ev = sim.schedule(0.5, lambda: None)
-        sim.post(1.5, lambda: None)
+        sim.post_at(1.5, lambda: None)
         sim.schedule(1.0, lambda: None)
         sim.cancel(ev)
         assert sim.peek_next_time() == 1.0
@@ -173,7 +182,7 @@ class TestSchedulingContract:
 
     def test_events_processed_after_max_events(self, sim):
         for i in range(6):
-            sim.post(0.1 * (i + 1), lambda: None)
+            sim.post_at(0.1 * (i + 1), lambda: None)
         sim.run(max_events=4)
         assert sim.events_processed == 4
         assert sim.now == pytest.approx(0.4)
