@@ -132,7 +132,7 @@ class TestLazyRestart:
         sim.schedule_at(0.75, timer.start, 1.0)
         sim.run()
         assert fired == [1.75] and timer.expirations == 1
-        # one expiry entry served every arming: 7 driver events + 1 + 1 re-arm
+        # one expiry entry served every arming: 7 scripted events + 1 + 1 re-arm
         assert sim.events_scheduled == 9
 
     def test_firing_sequence_is_pinned(self, sim):
